@@ -138,32 +138,6 @@ inline void WeightedBuildCases(BenchContext& ctx, size_t types, size_t n,
   }
 }
 
-/// Parses a comma-separated size list (bench --sizes flags).
-inline std::vector<size_t> ParseSizes(const std::string& csv) {
-  std::vector<size_t> sizes;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    sizes.push_back(std::strtoull(csv.c_str() + pos, nullptr, 10));
-    const size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return sizes;
-}
-
-/// Parses a comma-separated double list (bench --epsilons flags).
-inline std::vector<double> ParseDoubles(const std::string& csv) {
-  std::vector<double> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    out.push_back(std::strtod(csv.c_str() + pos, nullptr));
-    const size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 /// Compact %g formatting for case names ("eps=0.001", "keep=0.05").
 inline std::string FmtG(double v) {
   char buf[32];

@@ -19,8 +19,7 @@
 namespace movd::bench {
 
 BENCH(ext01_streaming_overlap) {
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("sizes", "1000,4000,16000"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "1000,4000,16000");
   const size_t budget =
       static_cast<size_t>(ctx.flags().GetInt("budget_kb", 256)) << 10;
   const std::string dir = ctx.flags().GetString("tmpdir", "/tmp");

@@ -9,7 +9,7 @@
 namespace movd::bench {
 
 BENCH(ext02_overlap_pruning) {
-  const auto sizes = ParseSizes(ctx.flags().GetString("sizes", "16,32,64"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "16,32,64");
   const double epsilon = ctx.flags().GetDouble("epsilon", 1e-3);
   for (const size_t types : {3u, 4u}) {
     for (const size_t n : sizes) {

@@ -13,8 +13,7 @@
 namespace movd::bench {
 
 BENCH(ext04_network_molq) {
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("vertices", "500,2000,8000"));
+  const auto sizes = ctx.flags().GetSizeList("vertices", "500,2000,8000");
   for (const size_t n : sizes) {
     for (const double keep : {0.05, 0.5, 1.0}) {
       const RoadNetwork net = RandomRoadNetwork(n, kWorld, keep, ctx.seed());

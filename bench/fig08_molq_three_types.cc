@@ -48,8 +48,7 @@ constexpr struct {
 }  // namespace
 
 BENCH(fig08_three_types) {
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("sizes", "16,32,64,128,256"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "16,32,64,128,256");
   const double epsilon = ctx.flags().GetDouble("epsilon", 1e-3);
   for (const size_t n : sizes) {
     const MolqQuery query = MakeQuery({n, n, n}, ctx.seed());
@@ -83,8 +82,7 @@ BENCH(fig08_three_types) {
 BENCH(fig08_parallel) {
   const int threads = ctx.threads();
   if (threads <= 1) return;
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("sizes", "16,32,64,128,256"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "16,32,64,128,256");
   const double epsilon = ctx.flags().GetDouble("epsilon", 1e-3);
   for (const size_t n : sizes) {
     const MolqQuery query = MakeQuery({n, n, n}, ctx.seed());

@@ -10,7 +10,7 @@
 namespace movd::bench {
 
 BENCH(fig09_four_types) {
-  const auto sizes = ParseSizes(ctx.flags().GetString("sizes", "8,16,24,32"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "8,16,24,32");
   const double epsilon = ctx.flags().GetDouble("epsilon", 1e-3);
   constexpr struct {
     MolqAlgorithm algo;

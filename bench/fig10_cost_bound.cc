@@ -47,9 +47,8 @@ BatchResult RunBatch(const BenchContext& ctx,
 
 BENCH(fig10_cost_bound) {
   const auto counts =
-      ParseSizes(ctx.flags().GetString("problems", "1000,5000,10000,50000"));
-  const auto epsilons =
-      ParseDoubles(ctx.flags().GetString("epsilons", "1e-2,1e-3,1e-4"));
+      ctx.flags().GetSizeList("problems", "1000,5000,10000,50000");
+  const auto epsilons = ctx.flags().GetDoubleList("epsilons", "1e-2,1e-3,1e-4");
   for (const size_t count : counts) {
     const auto problems = MakeProblems(count, ctx.seed());
     for (const double eps : epsilons) {
@@ -87,9 +86,8 @@ BENCH(fig10_cost_bound) {
 BENCH(fig10_ablation) {
   if (!ctx.flags().GetBool("ablate", false)) return;
   const auto counts =
-      ParseSizes(ctx.flags().GetString("problems", "1000,5000,10000,50000"));
-  const auto epsilons =
-      ParseDoubles(ctx.flags().GetString("epsilons", "1e-2,1e-3,1e-4"));
+      ctx.flags().GetSizeList("problems", "1000,5000,10000,50000");
+  const auto epsilons = ctx.flags().GetDoubleList("epsilons", "1e-2,1e-3,1e-4");
   const double eps = epsilons.back();
   constexpr struct {
     const char* name;
@@ -122,9 +120,8 @@ BENCH(fig10_parallel) {
   const int threads = ctx.threads();
   if (threads <= 1) return;
   const auto counts =
-      ParseSizes(ctx.flags().GetString("problems", "1000,5000,10000,50000"));
-  const auto epsilons =
-      ParseDoubles(ctx.flags().GetString("epsilons", "1e-2,1e-3,1e-4"));
+      ctx.flags().GetSizeList("problems", "1000,5000,10000,50000");
+  const auto epsilons = ctx.flags().GetDoubleList("epsilons", "1e-2,1e-3,1e-4");
   const double eps = epsilons.back();
   for (const size_t count : counts) {
     const auto problems = MakeProblems(count, ctx.seed());

@@ -12,8 +12,7 @@
 namespace movd::bench {
 
 BENCH(fig13_overlap_memory) {
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("sizes", "1000,2000,4000,8000"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "1000,2000,4000,8000");
   for (const size_t n : sizes) {
     for (const size_t m : sizes) {
       const auto basic = MakeBasicMovds({n, m}, ctx.seed(), ctx.threads());

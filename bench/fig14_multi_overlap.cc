@@ -87,8 +87,7 @@ BENCH(fig14_multi_overlap) {
       static_cast<size_t>(ctx.flags().GetInt("budget_mb", 8)) << 20;
   const size_t max_n =
       static_cast<size_t>(ctx.flags().GetInt("max_n", 16384));
-  const auto types_list =
-      ParseSizes(ctx.flags().GetString("types", "2,3,4,5"));
+  const auto types_list = ctx.flags().GetSizeList("types", "2,3,4,5");
   for (const size_t t : types_list) {
     const size_t rrb_max = MaxSizeUnderBudget(
         t, BoundaryMode::kRealRegion, budget, max_n, ctx.seed(),

@@ -33,8 +33,7 @@ std::vector<WeightedSite> MakeSites(size_t n, bool affine, uint64_t seed) {
 }  // namespace
 
 BENCH(micro_weighted) {
-  const auto sizes =
-      ParseSizes(ctx.flags().GetString("sizes", "64,256"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "64,256");
   const int resolution =
       static_cast<int>(ctx.flags().GetInt("resolution", 256));
   for (const size_t n : sizes) {

@@ -72,7 +72,7 @@ std::vector<WhatIfVector> MakeVectors(size_t count, size_t arity,
 }  // namespace
 
 BENCH(query) {
-  const auto sizes = ParseSizes(ctx.flags().GetString("sizes", "16,32"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "16,32");
   const size_t vector_count =
       static_cast<size_t>(ctx.flags().GetInt("vectors", 8));
   for (const size_t n : sizes) {

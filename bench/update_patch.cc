@@ -86,7 +86,7 @@ std::vector<ScriptStep> MakeScript(const MolqQuery& base, size_t updates,
 }  // namespace
 
 BENCH(update_patch) {
-  const auto sizes = ParseSizes(ctx.flags().GetString("sizes", "200,800"));
+  const auto sizes = ctx.flags().GetSizeList("sizes", "200,800");
   const size_t updates =
       static_cast<size_t>(ctx.flags().GetInt("updates", 32));
   const BoundaryMode mode = BoundaryMode::kRealRegion;

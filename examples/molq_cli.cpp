@@ -47,6 +47,7 @@
 
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/molq.h"
@@ -162,13 +163,13 @@ void PrintAnswerJson(const MolqQuery& query, const Point& location,
 // run. Timing goes to stderr. Shared by every query-algebra subcommand
 // and by solve --json / --allow / --exclude.
 int ServeAndPrint(const MolqQuery& query, const Rect& world,
-                  ServeRequest request, const char* cmd, bool full_object,
+                  EngineRequest request, const char* cmd, bool full_object,
                   Point* answer_out) {
   QueryEngine engine;
   engine.RegisterDataset("cli", query, world);
   request.id = "cli";
   request.dataset = "cli";
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   if (resp.status != StatusCode::kOk) {
     std::fprintf(stderr, "%s: %s %s\n", cmd, StatusCodeName(resp.status),
                  resp.error.c_str());
@@ -247,19 +248,19 @@ int Solve(const Flags& flags) {
     if (options.use_overlap_pruning) {
       std::fprintf(stderr, "solve: --prune is ignored with --json\n");
     }
-    ServeRequest request;
-    request.algorithm = options.algorithm;
+    EngineRequest request;
     request.epsilon = options.epsilon;
     request.exec = options.exec;
     if (constrained) {
-      request.kind = ServeQueryKind::kConstrained;
+      ConstrainSpec constrain;
       if (k > 1) {
         std::fprintf(stderr,
                      "solve: --topk is ignored with --allow/--exclude "
                      "(constrained MOLQ returns the single optimum)\n");
       }
       if (!allow.empty()) {
-        if (const Status s = ParsePolygonSpec(allow, &request.constraint.boundary);
+        if (const Status s =
+                ParsePolygonSpec(allow, &constrain.constraint.boundary);
             !s.ok()) {
           std::fprintf(stderr, "solve: --allow: %s\n", s.message().c_str());
           return 2;
@@ -273,10 +274,11 @@ int Solve(const Flags& flags) {
           std::fprintf(stderr, "solve: --exclude: %s\n", s.message().c_str());
           return 2;
         }
-        request.constraint.exclusions.push_back(std::move(poly));
+        constrain.constraint.exclusions.push_back(std::move(poly));
       }
+      request.op = std::move(constrain);
     } else {
-      request.topk = k;
+      request.op = SolveSpec{options.algorithm, k};
     }
     const int rc = ServeAndPrint(query, world, std::move(request), "solve",
                                  json, &answer);
@@ -332,20 +334,22 @@ int Solve(const Flags& flags) {
 // skyline / diverse / whatif — the query-algebra shapes, all routed
 // through the serving engine so the CLI exercises exactly the code path
 // (validation, artifact cache, serializer) movd_serve runs.
-int RunShape(const Flags& flags, ServeQueryKind kind, const char* cmd) {
+int RunShape(const Flags& flags, EngineOp op, const char* cmd) {
   MolqQuery query;
   Rect world;
   if (const int rc = LoadQueryFromFlags(flags, cmd, &query, &world)) {
     return rc;
   }
 
-  ServeRequest request;
-  request.kind = kind;
+  EngineRequest request;
+  request.op = std::move(op);
+  // Every shape routed here (skyline, diverse, whatif) takes an algorithm.
+  MolqAlgorithm& algorithm = *AlgorithmField(&request.op);
   const std::string algo = flags.GetString("algorithm", "rrb");
   if (algo == "rrb") {
-    request.algorithm = MolqAlgorithm::kRrb;
+    algorithm = MolqAlgorithm::kRrb;
   } else if (algo == "mbrb") {
-    request.algorithm = MolqAlgorithm::kMbrb;
+    algorithm = MolqAlgorithm::kMbrb;
   } else {
     std::fprintf(stderr, "%s: --algorithm must be rrb or mbrb (got %s)\n",
                  cmd, algo.c_str());
@@ -356,24 +360,24 @@ int RunShape(const Flags& flags, ServeQueryKind kind, const char* cmd) {
   if (flags.GetBool("audit", false)) request.exec.audit = true;
   const bool json = flags.GetBool("json", false);
 
-  if (kind == ServeQueryKind::kDiverse) {
+  if (auto* diverse = std::get_if<DiverseSpec>(&request.op)) {
     if (!flags.Has("topk") || !flags.Has("min_dist")) {
       std::fprintf(stderr, "%s: --topk and --min_dist are required\n", cmd);
       return 2;
     }
-    request.topk = static_cast<size_t>(flags.GetInt("topk", 1));
-    request.min_distance = flags.GetDouble("min_dist", 0.0);
-  } else if (kind == ServeQueryKind::kWhatIf) {
+    diverse->topk = static_cast<size_t>(flags.GetInt("topk", 1));
+    diverse->min_distance = flags.GetDouble("min_dist", 0.0);
+  } else if (auto* what_if = std::get_if<WhatIfSpec>(&request.op)) {
     const std::string sweep = flags.GetString("sweep", "");
     if (sweep.empty()) {
       std::fprintf(stderr, "%s: --sweep=s,s|s,s|... is required\n", cmd);
       return 2;
     }
-    if (const Status s = ParseSweepSpec(sweep, &request.sweep); !s.ok()) {
+    if (const Status s = ParseSweepSpec(sweep, &what_if->sweep); !s.ok()) {
       std::fprintf(stderr, "%s: --sweep: %s\n", cmd, s.message().c_str());
       return 2;
     }
-    request.topk = static_cast<size_t>(flags.GetInt("topk", 1));
+    what_if->topk = static_cast<size_t>(flags.GetInt("topk", 1));
   }
   flags.WarnUnused(stderr);
   if (flags.ReportMalformed(stderr) > 0) return 2;
@@ -406,13 +410,13 @@ int main(int argc, char** argv) {
   if (command == "generate") return Generate(flags);
   if (command == "solve") return Solve(flags);
   if (command == "skyline") {
-    return RunShape(flags, ServeQueryKind::kSkyline, "skyline");
+    return RunShape(flags, SkylineSpec{}, "skyline");
   }
   if (command == "diverse") {
-    return RunShape(flags, ServeQueryKind::kDiverse, "diverse");
+    return RunShape(flags, DiverseSpec{}, "diverse");
   }
   if (command == "whatif") {
-    return RunShape(flags, ServeQueryKind::kWhatIf, "whatif");
+    return RunShape(flags, WhatIfSpec{}, "whatif");
   }
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 2;

@@ -29,7 +29,7 @@ namespace movd::bench {
 /// gates regressions on.
 ///
 ///   BENCH(fig08) {
-///     const auto sizes = ParseSizes(ctx.flags().GetString("sizes", "16,32"));
+///     const auto sizes = ctx.flags().GetSizeList("sizes", "16,32");
 ///     for (const size_t n : sizes) {
 ///       const MolqQuery query = MakeQuery({n, n, n}, ctx.seed());
 ///       BenchCase& c = ctx.Case("rrb/n=" + std::to_string(n))

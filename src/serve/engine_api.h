@@ -2,45 +2,28 @@
 #define MOVD_SERVE_ENGINE_API_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <future>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "core/molq.h"
 #include "model/query_model.h"
 #include "model/update_model.h"
-#include "serve/metrics.h"
 #include "util/exec_options.h"
 #include "util/status.h"
 
 namespace movd {
 
 /// The typed serving API (DESIGN.md §15). Every front end — the line
-/// protocol, the typed client library, molq_cli — speaks
-/// `EngineRequest`/`EngineResponse` against the abstract `Engine`
-/// interface below, so parsing, admission control, and metrics all hang
-/// off one `Engine::Handle` surface. The per-verb payloads are a
-/// std::variant over small spec structs wrapping the query-algebra model
-/// vocabulary (model/query_model.h) and the mutation model
-/// (model/update_model.h); the flat `ServeRequest` remains as the
-/// engine-internal execution form, built at exactly one choke point
-/// (FlattenRequest).
-
-/// Which query shape a request evaluates (DESIGN.md §13). All shapes run
-/// against the same cached MOVD artifacts; only the per-request evaluation
-/// differs. SSC is a plain-MOLQ-only baseline, so every shape other than
-/// kMolq rejects algo=ssc, and kConstrained additionally rejects mbrb (the
-/// constraint clipper needs real regions).
-enum class ServeQueryKind {
-  kMolq,         ///< SOLVE: top-k optimal locations
-  kSkyline,      ///< SKYLINE: Pareto-optimal candidate sites
-  kDiverse,      ///< DIVERSE: top-k with a minimum pairwise distance
-  kConstrained,  ///< CONSTRAIN: optimum inside a polygon, minus exclusions
-  kWhatIf,       ///< WHATIF: batched rankings under scaled type weights
-};
+/// protocol, the typed client library, molq_cli — builds one
+/// `EngineRequest` and hands it to QueryEngine::Handle/HandleAsync, so
+/// parsing, admission control, and metrics all hang off one surface. The
+/// per-verb payload is a std::variant over small spec structs wrapping the
+/// query-algebra model vocabulary (model/query_model.h) and the mutation
+/// model (model/update_model.h): a verb carries exactly the fields it
+/// accepts, and the engine reads each of them from the payload directly.
 
 /// One immutable version of a registered dataset (DESIGN.md §14). Every
 /// request pins exactly one snapshot for its whole evaluation, so its
@@ -64,55 +47,6 @@ struct MutationStats {
   bool full_rebuild = false;     ///< incremental path unavailable/stalled
 };
 
-/// The engine-internal flat execution form of one request. Front ends do
-/// not build this directly: they build an EngineRequest (below) and the
-/// engine flattens it through FlattenRequest — the single translation
-/// choke point. It stays public because the engine's own tests exercise
-/// the execution layer directly.
-struct ServeRequest {
-  std::string id = "-";         ///< client-chosen id, echoed in the response
-  std::string dataset;          ///< registered dataset name
-  std::vector<int32_t> layers;  ///< dataset layer indices; empty = all
-  MolqAlgorithm algorithm = MolqAlgorithm::kRrb;
-  double epsilon = 1e-3;
-  size_t topk = 1;
-  /// Per-request execution knobs (the same ExecOptions the core pipeline
-  /// takes). exec.threads is per-request pipeline parallelism — the answer
-  /// is bit-identical for every value. exec.trace (when non-null) traces
-  /// this request. exec.cancel and exec.weighted_grid_resolution are
-  /// overwritten by the engine (deadline token / engine-wide resolution).
-  ExecOptions exec;
-  /// Deadline budget in milliseconds, measured from the moment the engine
-  /// picks the request up (Solve entry / queue dequeue). <= 0 means none.
-  /// A fired deadline yields kDeadlineExceeded with no answer — never a
-  /// partial one.
-  double deadline_ms = 0.0;
-  /// When false the request bypasses the artifact cache entirely (cold
-  /// rebuild; used by the load generator to measure the cold path through
-  /// the same engine).
-  bool use_cache = true;
-  /// Query shape; the fields below it apply only to the shapes noted.
-  ServeQueryKind kind = ServeQueryKind::kMolq;
-  /// kDiverse: minimum pairwise distance between selected sites (>= 0).
-  double min_distance = 0.0;
-  /// kConstrained: the feasible-set polygons (ValidateConstraint'd before
-  /// evaluation; an invalid constraint is an error response, not a crash).
-  QueryConstraint constraint;
-  /// kWhatIf: one scale vector per sweep entry, each with exactly one
-  /// entry per SELECTED layer (in ascending layer order). The engine pads
-  /// them to full-dataset vectors with the identity adjustment.
-  std::vector<std::vector<double>> sweep;
-  /// Mutation requests (INSERT/DELETE): when `mutate` is set the request
-  /// takes the engine's mutation path (apply `mutation`, publish a new
-  /// snapshot version) instead of the solver; the query fields above are
-  /// ignored.
-  bool mutate = false;
-  SiteMutation mutation;
-  /// Admission-control cost class, set by the protocol parser from the
-  /// verb registry (queries 1, mutations heavier). Clamped to >= 1.
-  int cost_units = 1;
-};
-
 /// One ranked answer: the location, its cost, and the winning object
 /// combination (PoiRef::set is the DATASET layer index).
 struct ServeAnswer {
@@ -131,7 +65,7 @@ struct ServeResponse {
   std::string id = "-";
   std::string error;                 ///< human-readable detail on non-kOk
   std::vector<ServeAnswer> answers;  ///< ascending by cost; empty on error
-  /// kWhatIf only: one ranking per sweep vector, in request order
+  /// WHATIF only: one ranking per sweep vector, in request order
   /// (`answers` stays empty — a sweep has no single answer list).
   std::vector<std::vector<ServeAnswer>> sweep_answers;
   bool cache_hit = false;  ///< overlay artifact came straight from cache
@@ -145,10 +79,6 @@ struct ServeResponse {
   bool is_mutation = false;  ///< response body is mutation stats, not answers
   MutationStats mutation;    ///< filled for mutation responses
 };
-
-/// Engine replies are the same type whichever Engine produced them; the
-/// alias names the typed-API side of the pair.
-using EngineResponse = ServeResponse;
 
 /// ---- Typed per-verb request payloads -----------------------------------
 ///
@@ -174,8 +104,8 @@ struct DiverseSpec {
   double min_distance = 0.0;
 };
 
-/// CONSTRAIN: optimum inside a polygon, minus exclusions (RRB only, so no
-/// algorithm field — the flattener pins kRrb).
+/// CONSTRAIN: optimum inside a polygon, minus exclusions. RRB only (the
+/// clipper needs real regions), so there is no algorithm field to set.
 struct ConstrainSpec {
   QueryConstraint constraint;
 };
@@ -185,87 +115,84 @@ struct WhatIfSpec {
   MolqAlgorithm algorithm = MolqAlgorithm::kRrb;
   size_t topk = 1;
   /// One scale vector per sweep entry, each with exactly one entry per
-  /// selected layer (ascending layer order).
+  /// selected layer (ascending layer order). The engine pads them to
+  /// full-dataset vectors with the identity adjustment.
   std::vector<std::vector<double>> sweep;
 };
 
 /// The per-verb payload: one alternative per non-control verb. Mutations
-/// ride the model's own SiteMutation (model/update_model.h) directly.
+/// (INSERT/DELETE) ride the model's own SiteMutation directly and take the
+/// engine's mutation path instead of the solver.
 using EngineOp = std::variant<SolveSpec, SkylineSpec, DiverseSpec,
                               ConstrainSpec, WhatIfSpec, SiteMutation>;
 
+/// The payload's `algorithm` / `topk` field, or null when its alternative
+/// has none (CONSTRAIN and the mutations have no algorithm; SKYLINE,
+/// CONSTRAIN and the mutations have no k). `op` may point to a const or a
+/// mutable EngineOp; the field pointer has the same constness.
+template <typename Op>
+auto* AlgorithmField(Op* op) {
+  using Field = std::conditional_t<std::is_const_v<Op>, const MolqAlgorithm,
+                                   MolqAlgorithm>;
+  return std::visit(
+      [](auto& spec) -> Field* {
+        if constexpr (requires { spec.algorithm; }) {
+          return &spec.algorithm;
+        } else {
+          return nullptr;
+        }
+      },
+      *op);
+}
+
+template <typename Op>
+auto* TopKField(Op* op) {
+  using Field = std::conditional_t<std::is_const_v<Op>, const size_t, size_t>;
+  return std::visit(
+      [](auto& spec) -> Field* {
+        if constexpr (requires { spec.topk; }) {
+          return &spec.topk;
+        } else {
+          return nullptr;
+        }
+      },
+      *op);
+}
+
 /// One typed request: the envelope every verb shares plus the per-verb
-/// payload. This is what front ends build and Engine::Handle takes.
+/// payload. This is what front ends build and QueryEngine::Handle takes.
 struct EngineRequest {
   std::string id = "-";         ///< client-chosen id, echoed in the response
   std::string dataset;          ///< registered dataset name
   std::vector<int32_t> layers;  ///< dataset layer indices; empty = all
   double epsilon = 1e-3;
-  /// Per-request execution knobs; see ServeRequest::exec.
+  /// Per-request execution knobs (the same ExecOptions the core pipeline
+  /// takes). exec.threads is per-request pipeline parallelism — the answer
+  /// is bit-identical for every value. exec.trace (when non-null) traces
+  /// this request. exec.cancel and exec.weighted_grid_resolution are
+  /// overwritten by the engine (deadline token / engine-wide resolution).
   ExecOptions exec;
-  double deadline_ms = 0.0;  ///< solve budget; <= 0 means none
-  bool use_cache = true;     ///< false = bypass the artifact cache
-  /// Admission-control cost class (set from the verb registry row).
+  /// Deadline budget in milliseconds, measured from the moment the engine
+  /// picks the request up (Handle entry / queue dequeue). <= 0 means none.
+  /// A fired deadline yields kDeadlineExceeded with no answer — never a
+  /// partial one.
+  double deadline_ms = 0.0;
+  /// When false the request bypasses the artifact cache entirely (cold
+  /// rebuild; used by the load generator to measure the cold path through
+  /// the same engine).
+  bool use_cache = true;
+  /// Admission-control cost class, set by the protocol parser from the
+  /// verb registry (queries 1, mutations heavier). Clamped to >= 1.
   int cost_units = 1;
   /// The per-verb payload.
   EngineOp op;
 };
-
-/// The query shape an EngineRequest evaluates (mutations report kMolq —
-/// check IsMutation first).
-ServeQueryKind EngineRequestKind(const EngineRequest& request);
-
-/// Whether the request is an INSERT/DELETE mutation.
-bool IsMutation(const EngineRequest& request);
-
-/// Flattens a typed request into the engine-internal execution form — the
-/// single translation choke point between the typed API and the solver
-/// (every Engine implementation and the protocol-compat shim route through
-/// here, so the two forms cannot drift apart).
-ServeRequest FlattenRequest(const EngineRequest& request);
 
 /// Outcome of a warm-start cache load.
 struct WarmLoadResult {
   size_t loaded = 0;  ///< artifacts inserted into the cache
   size_t failed = 0;  ///< artifacts skipped (corrupt/truncated/missing)
   Status status;      ///< non-OK when the manifest itself was bad
-};
-
-/// The abstract serving engine. QueryEngine is the implementation; the
-/// line protocol, the client library and molq_cli depend only on this
-/// interface.
-///
-/// Thread-safety: RegisterDataset must finish before serving starts;
-/// Handle/HandleAsync are then safe from any number of threads.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  /// Registers (or replaces) a dataset: the object sets, their weight
-  /// functions, and the search space queries run over.
-  virtual void RegisterDataset(const std::string& name, MolqQuery query,
-                               const Rect& world) = 0;
-
-  /// The dataset's current snapshot; null when unknown. The pointer stays
-  /// valid (and immutable) for as long as the caller holds it.
-  virtual std::shared_ptr<const DatasetSnapshot> dataset_snapshot(
-      const std::string& name) const = 0;
-
-  /// Serves one typed request synchronously on the calling thread.
-  virtual EngineResponse Handle(const EngineRequest& request) = 0;
-
-  /// Enqueues one typed request onto the engine's worker pool(s); the
-  /// returned future resolves when it has been served. Admission control
-  /// applies here (a request may resolve immediately to kOverloaded).
-  virtual std::future<EngineResponse> HandleAsync(EngineRequest request) = 0;
-
-  /// Serving metrics as the STATS JSON body / a human-readable table.
-  virtual std::string MetricsJson() const = 0;
-  virtual void DumpMetrics(std::FILE* out) const = 0;
-
-  /// Warm-start persistence (see QueryEngine::SaveCache/LoadCache).
-  virtual Status SaveCache(const std::string& dir) const = 0;
-  virtual WarmLoadResult LoadCache(const std::string& dir) = 0;
 };
 
 }  // namespace movd

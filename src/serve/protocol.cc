@@ -5,7 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <type_traits>
+#include <limits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -117,13 +118,27 @@ std::string JoinHints(uint32_t mask, const char* sep) {
   return out;
 }
 
-/// Parses one key=value pair for the verb `d` into the flat accumulator
-/// `request`. The registry's allowed_args mask has already admitted the
-/// key; this is the per-key typed parse and value validation.
+/// The payload alternative or field a key writes to. The registry admitted
+/// the key for this verb, so its row's payload has it: a null here is a
+/// registry row out of step with its EngineOp alternative, not bad input.
+template <typename Field>
+Field& Present(Field* field) {
+  MOVD_CHECK_MSG(field != nullptr,
+                 "verb registry admits a key its payload lacks");
+  return *field;
+}
+
+/// Parses one key=value pair for the verb `d` into `request`: envelope
+/// keys into the envelope, payload keys into the EngineOp alternative the
+/// verb's registry row default-constructed. The registry's allowed_args
+/// mask has already admitted the key; this is the per-key typed parse and
+/// value validation (integers are range-checked against the field they
+/// set, never narrowed).
 Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
-                    const std::string& value, ServeRequest* request) {
+                    const std::string& value, EngineRequest* request) {
   int64_t i = 0;
   double f = 0.0;
+  EngineOp& op = request->op;
   switch (arg.bit) {
     case kArgId:
       request->id = value;
@@ -137,7 +152,9 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
       while (pos < value.size()) {
         size_t comma = value.find(',', pos);
         if (comma == std::string::npos) comma = value.size();
-        if (!ParseI64(value.substr(pos, comma - pos), &i)) {
+        if (!ParseI64(value.substr(pos, comma - pos), &i) ||
+            i < std::numeric_limits<int32_t>::min() ||
+            i > std::numeric_limits<int32_t>::max()) {
           return Status::InvalidArgument("bad layers list '" + value + "'");
         }
         request->layers.push_back(static_cast<int32_t>(i));
@@ -145,28 +162,30 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
       }
       return Status::Ok();
     }
-    case kArgAlgo:
+    case kArgAlgo: {
+      MolqAlgorithm& algorithm = Present(AlgorithmField(&op));
       if (value == "ssc") {
         if ((d.caps & kCapRequiresOverlay) != 0) {
           return Status::InvalidArgument(
               std::string("algo=ssc serves plain SOLVE only; ") + d.name +
               " needs a MOVD artifact (rrb|mbrb)");
         }
-        request->algorithm = MolqAlgorithm::kSsc;
+        algorithm = MolqAlgorithm::kSsc;
       } else if (value == "rrb") {
-        request->algorithm = MolqAlgorithm::kRrb;
+        algorithm = MolqAlgorithm::kRrb;
       } else if (value == "mbrb") {
-        request->algorithm = MolqAlgorithm::kMbrb;
+        algorithm = MolqAlgorithm::kMbrb;
       } else {
         return Status::InvalidArgument("unknown algo '" + value +
                                        "' (want ssc|rrb|mbrb)");
       }
       return Status::Ok();
+    }
     case kArgK:
       if (!ParseI64(value, &i) || i < 1) {
         return Status::InvalidArgument("bad k '" + value + "'");
       }
-      request->topk = static_cast<size_t>(i);
+      Present(TopKField(&op)) = static_cast<size_t>(i);
       return Status::Ok();
     case kArgEpsilon:
       if (!ParseF64(value, &f) || !(f > 0.0)) {
@@ -181,7 +200,8 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
       request->deadline_ms = f;
       return Status::Ok();
     case kArgThreads:
-      if (!ParseI64(value, &i) || i < 0) {
+      if (!ParseI64(value, &i) || i < 0 ||
+          i > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument("bad threads '" + value + "'");
       }
       request->exec.threads = static_cast<int>(i);
@@ -200,45 +220,48 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
       if (!ParseF64(value, &f) || f < 0.0) {
         return Status::InvalidArgument("bad min_dist '" + value + "'");
       }
-      request->min_distance = f;
+      Present(std::get_if<DiverseSpec>(&op)).min_distance = f;
       return Status::Ok();
     case kArgBoundary: {
       Polygon poly;
       const Status parsed = ParsePolygonSpec(value, &poly);
       if (!parsed.ok()) return parsed;
-      if (!request->constraint.boundary.Empty()) {
+      QueryConstraint& constraint =
+          Present(std::get_if<ConstrainSpec>(&op)).constraint;
+      if (!constraint.boundary.Empty()) {
         return Status::InvalidArgument("boundary given twice");
       }
-      request->constraint.boundary = std::move(poly);
+      constraint.boundary = std::move(poly);
       return Status::Ok();
     }
     case kArgExclude: {
       Polygon poly;
       const Status parsed = ParsePolygonSpec(value, &poly);
       if (!parsed.ok()) return parsed;
-      request->constraint.exclusions.push_back(std::move(poly));
+      Present(std::get_if<ConstrainSpec>(&op))
+          .constraint.exclusions.push_back(std::move(poly));
       return Status::Ok();
     }
     case kArgSweep:
-      return ParseSweepSpec(value, &request->sweep);
+      return ParseSweepSpec(value,
+                            &Present(std::get_if<WhatIfSpec>(&op)).sweep);
     case kArgLayer:
-      if (!ParseI64(value, &i) || i < 0) {
+      if (!ParseI64(value, &i) || i < 0 ||
+          i > std::numeric_limits<int32_t>::max()) {
         return Status::InvalidArgument("bad layer '" + value + "'");
       }
-      request->mutation.layer = static_cast<int32_t>(i);
+      Present(std::get_if<SiteMutation>(&op)).layer = static_cast<int32_t>(i);
       return Status::Ok();
     case kArgX:
-    case kArgY:
+    case kArgY: {
       if (!ParseF64(value, &f) || !std::isfinite(f)) {
         return Status::InvalidArgument(std::string("bad ") + arg.key + " '" +
                                        value + "'");
       }
-      if (arg.bit == kArgX) {
-        request->mutation.location.x = f;
-      } else {
-        request->mutation.location.y = f;
-      }
+      Point& location = Present(std::get_if<SiteMutation>(&op)).location;
+      (arg.bit == kArgX ? location.x : location.y) = f;
       return Status::Ok();
+    }
   }
   return Status::Internal("unhandled argument '" + std::string(arg.key) +
                           "'");
@@ -276,52 +299,47 @@ const std::vector<VerbDescriptor>& VerbRegistry() {
                                  kArgY;
   static const std::vector<VerbDescriptor>* const kRegistry =
       new std::vector<VerbDescriptor>{
-          {"SOLVE", 1, ServeVerb::kSolve, ServeQueryKind::kMolq,
-           MutationKind::kInsert, 0,
+          {"SOLVE", 1, ServeVerb::kSolve, SolveSpec{}, 0,
            kCommonQuery | kArgAlgo | kArgK, kArgDataset, 0, 1,
            "top-k optimal locations"},
-          {"SKYLINE", 1, ServeVerb::kSolve, ServeQueryKind::kSkyline,
-           MutationKind::kInsert, kCapRequiresOverlay,
+          {"SKYLINE", 1, ServeVerb::kSolve, SkylineSpec{},
+           kCapRequiresOverlay,
            kCommonQuery | kArgAlgo, kArgDataset, 0, 1,
            "Pareto-optimal candidate sites"},
-          {"DIVERSE", 1, ServeVerb::kSolve, ServeQueryKind::kDiverse,
-           MutationKind::kInsert, kCapRequiresOverlay,
+          {"DIVERSE", 1, ServeVerb::kSolve, DiverseSpec{},
+           kCapRequiresOverlay,
            kCommonQuery | kArgAlgo | kArgK | kArgMinDist,
            kArgDataset | kArgK | kArgMinDist, 0, 1,
            "top-k with a minimum pairwise distance"},
-          {"CONSTRAIN", 1, ServeVerb::kSolve, ServeQueryKind::kConstrained,
-           MutationKind::kInsert, kCapRequiresOverlay,
+          {"CONSTRAIN", 1, ServeVerb::kSolve, ConstrainSpec{},
+           kCapRequiresOverlay,
            kCommonQuery | kArgBoundary | kArgExclude, kArgDataset,
            kArgBoundary | kArgExclude, 1,
            "optimum inside a polygon, minus exclusions (RRB only)"},
-          {"WHATIF", 1, ServeVerb::kSolve, ServeQueryKind::kWhatIf,
-           MutationKind::kInsert, kCapRequiresOverlay,
+          {"WHATIF", 1, ServeVerb::kSolve, WhatIfSpec{},
+           kCapRequiresOverlay,
            kCommonQuery | kArgAlgo | kArgK | kArgSweep,
            kArgDataset | kArgSweep, 0, 1,
            "batched rankings under scaled type weights"},
-          {"INSERT", 2, ServeVerb::kSolve, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapMutation, kMutation,
+          {"INSERT", 2, ServeVerb::kSolve,
+           SiteMutation{MutationKind::kInsert, -1, {}}, kCapMutation, kMutation,
            kArgDataset | kArgLayer | kArgX | kArgY, 0, 4,
            "add a site to a layer; publishes a new snapshot version"},
-          {"DELETE", 2, ServeVerb::kSolve, ServeQueryKind::kMolq,
-           MutationKind::kDelete, kCapMutation, kMutation,
+          {"DELETE", 2, ServeVerb::kSolve,
+           SiteMutation{MutationKind::kDelete, -1, {}}, kCapMutation, kMutation,
            kArgDataset | kArgLayer | kArgX | kArgY, 0, 4,
            "remove the site at (x, y) from a layer; publishes a new "
            "snapshot version"},
-          {"STATS", 1, ServeVerb::kStats, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapControl, 0, 0, 0, 0,
-           "serving metrics as JSON"},
-          {"HELP", 2, ServeVerb::kHelp, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapControl, 0, 0, 0, 0,
+          {"STATS", 1, ServeVerb::kStats, SolveSpec{}, kCapControl, 0, 0, 0,
+           0, "serving metrics as JSON"},
+          {"HELP", 2, ServeVerb::kHelp, SolveSpec{}, kCapControl, 0, 0, 0, 0,
            "this verb registry as JSON"},
-          {"PING", 1, ServeVerb::kPing, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapControl, 0, 0, 0, 0, "liveness probe"},
-          {"QUIT", 1, ServeVerb::kQuit, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapControl, 0, 0, 0, 0,
+          {"PING", 1, ServeVerb::kPing, SolveSpec{}, kCapControl, 0, 0, 0, 0,
+           "liveness probe"},
+          {"QUIT", 1, ServeVerb::kQuit, SolveSpec{}, kCapControl, 0, 0, 0, 0,
            "close this connection"},
-          {"SHUTDOWN", 1, ServeVerb::kShutdown, ServeQueryKind::kMolq,
-           MutationKind::kInsert, kCapControl, 0, 0, 0, 0,
-           "stop the whole server"},
+          {"SHUTDOWN", 1, ServeVerb::kShutdown, SolveSpec{}, kCapControl, 0,
+           0, 0, 0, "stop the whole server"},
       };
   return *kRegistry;
 }
@@ -374,33 +392,6 @@ std::string HelpJson() {
   return out;
 }
 
-namespace {
-
-/// Builds the typed per-verb payload from the registry row and the flat
-/// parse accumulator — the inverse of FlattenRequest, used only here so
-/// wire verbs and EngineOp alternatives stay paired in one place.
-EngineOp BuildOp(const VerbDescriptor& d, const ServeRequest& flat) {
-  if ((d.caps & kCapMutation) != 0) {
-    return flat.mutation;
-  }
-  switch (d.kind) {
-    case ServeQueryKind::kMolq:
-      return SolveSpec{flat.algorithm, flat.topk};
-    case ServeQueryKind::kSkyline:
-      return SkylineSpec{flat.algorithm};
-    case ServeQueryKind::kDiverse:
-      return DiverseSpec{flat.algorithm, flat.topk, flat.min_distance};
-    case ServeQueryKind::kConstrained:
-      return ConstrainSpec{flat.constraint};
-    case ServeQueryKind::kWhatIf:
-      return WhatIfSpec{flat.algorithm, flat.topk, flat.sweep};
-  }
-  MOVD_CHECK_MSG(false, "verb registry row with an unknown query kind");
-  return SolveSpec{};
-}
-
-}  // namespace
-
 Status ParseRequest(const std::string& line, ServeVerb* verb,
                     EngineRequest* request) {
   const std::vector<std::string> words = SplitWords(line);
@@ -422,15 +413,12 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
     return Status::Ok();
   }
   *verb = d->verb;
-  // Per-key parsing accumulates into the flat form (whose fields the
-  // ArgSpec table addresses); the typed request is assembled below once
-  // the row's requirements have all been checked.
-  ServeRequest flat;
-  flat.kind = d->kind;
-  if ((d->caps & kCapMutation) != 0) {
-    flat.mutate = true;
-    flat.mutation.kind = d->mutation;
-  }
+  // Arguments land directly in the typed request: the envelope, or the
+  // payload alternative this verb's row default-constructs. `request` is
+  // only written once every requirement of the row has been checked.
+  EngineRequest parsed;
+  parsed.cost_units = d->cost_units;
+  parsed.op = d->op;
   uint32_t seen = 0;
   for (size_t i = 1; i < words.size(); ++i) {
     const size_t eq = words[i].find('=');
@@ -449,7 +437,7 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
       return Status::InvalidArgument(key + " applies to " +
                                      VerbsAllowing(arg->bit) + " only");
     }
-    const Status status = ParseVerbArg(*d, *arg, value, &flat);
+    const Status status = ParseVerbArg(*d, *arg, value, &parsed);
     if (!status.ok()) return status;
     seen |= arg->bit;
   }
@@ -462,25 +450,7 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
     return Status::InvalidArgument(name + " requires " +
                                    JoinHints(d->required_any, " and/or "));
   }
-  *request = EngineRequest();
-  request->id = flat.id;
-  request->dataset = flat.dataset;
-  request->layers = flat.layers;
-  request->epsilon = flat.epsilon;
-  request->exec = flat.exec;
-  request->deadline_ms = flat.deadline_ms;
-  request->use_cache = flat.use_cache;
-  request->cost_units = d->cost_units;
-  request->op = BuildOp(*d, flat);
-  return Status::Ok();
-}
-
-Status ParseRequestLine(const std::string& line, ServeVerb* verb,
-                        ServeRequest* request) {
-  EngineRequest typed;
-  const Status status = ParseRequest(line, verb, &typed);
-  if (!status.ok()) return status;
-  if (*verb == ServeVerb::kSolve) *request = FlattenRequest(typed);
+  *request = std::move(parsed);
   return Status::Ok();
 }
 
@@ -515,59 +485,56 @@ const char* AlgoSpecName(MolqAlgorithm algorithm) {
   return "rrb";
 }
 
+/// The registry row of the verb whose payload `op` is.
+const VerbDescriptor& VerbOf(const EngineOp& op) {
+  const auto* mutation = std::get_if<SiteMutation>(&op);
+  for (const VerbDescriptor& d : VerbRegistry()) {
+    if ((d.caps & kCapControl) != 0 || d.op.index() != op.index()) continue;
+    if (mutation == nullptr ||
+        std::get<SiteMutation>(d.op).kind == mutation->kind) {
+      return d;
+    }
+  }
+  MOVD_CHECK_MSG(false, "every EngineOp alternative has a verb row");
+  return VerbRegistry().front();
+}
+
 }  // namespace
 
 std::string FormatRequestLine(const EngineRequest& request) {
-  const char* name = std::visit(
-      [](const auto& op) -> const char* {
-        using T = std::decay_t<decltype(op)>;
-        if constexpr (std::is_same_v<T, SolveSpec>) return "SOLVE";
-        if constexpr (std::is_same_v<T, SkylineSpec>) return "SKYLINE";
-        if constexpr (std::is_same_v<T, DiverseSpec>) return "DIVERSE";
-        if constexpr (std::is_same_v<T, ConstrainSpec>) return "CONSTRAIN";
-        if constexpr (std::is_same_v<T, WhatIfSpec>) return "WHATIF";
-        if constexpr (std::is_same_v<T, SiteMutation>) {
-          return op.kind == MutationKind::kDelete ? "DELETE" : "INSERT";
-        }
-      },
-      request.op);
-  const VerbDescriptor* d = FindVerb(name);
-  MOVD_CHECK_MSG(d != nullptr, "every EngineOp alternative has a verb row");
-  // The flat form gives uniform access to the per-verb payload fields;
-  // emission below is gated by the registry row, so a field the verb does
-  // not take is never emitted even though the flat form carries it.
-  const ServeRequest flat = FlattenRequest(request);
-  std::string line = d->name;
-  line += " id=" + flat.id + " dataset=" + flat.dataset;
-  if ((d->allowed_args & kArgLayers) != 0 && !flat.layers.empty()) {
+  const VerbDescriptor& d = VerbOf(request.op);
+  const EngineOp& op = request.op;
+  std::string line = d.name;
+  line += " id=" + request.id + " dataset=" + request.dataset;
+  if ((d.allowed_args & kArgLayers) != 0 && !request.layers.empty()) {
     std::string list;
-    for (const int32_t layer : flat.layers) {
+    for (const int32_t layer : request.layers) {
       if (!list.empty()) list += ",";
       list += std::to_string(layer);
     }
     line += " layers=" + list;
   }
-  if ((d->allowed_args & kArgAlgo) != 0) {
-    line += std::string(" algo=") + AlgoSpecName(flat.algorithm);
+  // Payload keys: the alternative holds exactly the fields its verb takes.
+  if (const MolqAlgorithm* algorithm = AlgorithmField(&op)) {
+    line += std::string(" algo=") + AlgoSpecName(*algorithm);
   }
-  if ((d->allowed_args & kArgK) != 0) {
-    line += " k=" + std::to_string(flat.topk);
+  if (const size_t* topk = TopKField(&op)) {
+    line += " k=" + std::to_string(*topk);
   }
-  if ((d->allowed_args & kArgMinDist) != 0) {
-    line += " min_dist=" + F64Spec(flat.min_distance);
+  if (const auto* diverse = std::get_if<DiverseSpec>(&op)) {
+    line += " min_dist=" + F64Spec(diverse->min_distance);
   }
-  if ((d->allowed_args & kArgBoundary) != 0 &&
-      !flat.constraint.boundary.Empty()) {
-    line += " boundary=" + PolygonSpecString(flat.constraint.boundary);
-  }
-  if ((d->allowed_args & kArgExclude) != 0) {
-    for (const Polygon& poly : flat.constraint.exclusions) {
+  if (const auto* constrain = std::get_if<ConstrainSpec>(&op)) {
+    if (!constrain->constraint.boundary.Empty()) {
+      line += " boundary=" + PolygonSpecString(constrain->constraint.boundary);
+    }
+    for (const Polygon& poly : constrain->constraint.exclusions) {
       line += " exclude=" + PolygonSpecString(poly);
     }
   }
-  if ((d->allowed_args & kArgSweep) != 0) {
+  if (const auto* what_if = std::get_if<WhatIfSpec>(&op)) {
     std::string spec;
-    for (const std::vector<double>& vec : flat.sweep) {
+    for (const std::vector<double>& vec : what_if->sweep) {
       if (!spec.empty()) spec += "|";
       std::string v;
       for (const double s : vec) {
@@ -578,22 +545,23 @@ std::string FormatRequestLine(const EngineRequest& request) {
     }
     line += " sweep=" + spec;
   }
-  if ((d->allowed_args & kArgLayer) != 0) {
-    line += " layer=" + std::to_string(flat.mutation.layer);
-    line += " x=" + F64Spec(flat.mutation.location.x);
-    line += " y=" + F64Spec(flat.mutation.location.y);
+  if (const auto* mutation = std::get_if<SiteMutation>(&op)) {
+    line += " layer=" + std::to_string(mutation->layer);
+    line += " x=" + F64Spec(mutation->location.x);
+    line += " y=" + F64Spec(mutation->location.y);
   }
-  if ((d->allowed_args & kArgEpsilon) != 0) {
-    line += " epsilon=" + F64Spec(flat.epsilon);
+  // Envelope keys, gated by the verb's registry row.
+  if ((d.allowed_args & kArgEpsilon) != 0) {
+    line += " epsilon=" + F64Spec(request.epsilon);
   }
-  if ((d->allowed_args & kArgThreads) != 0) {
-    line += " threads=" + std::to_string(flat.exec.threads);
+  if ((d.allowed_args & kArgThreads) != 0) {
+    line += " threads=" + std::to_string(request.exec.threads);
   }
-  if ((d->allowed_args & kArgCache) != 0) {
-    line += std::string(" cache=") + (flat.use_cache ? "1" : "0");
+  if ((d.allowed_args & kArgCache) != 0) {
+    line += std::string(" cache=") + (request.use_cache ? "1" : "0");
   }
-  if ((d->allowed_args & kArgDeadlineMs) != 0 && flat.deadline_ms > 0.0) {
-    line += " deadline_ms=" + F64Spec(flat.deadline_ms);
+  if ((d.allowed_args & kArgDeadlineMs) != 0 && request.deadline_ms > 0.0) {
+    line += " deadline_ms=" + F64Spec(request.deadline_ms);
   }
   return line;
 }

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/query_engine.h"
+#include "serve/engine_api.h"
 #include "util/status.h"
 
 namespace movd {
@@ -33,12 +33,12 @@ namespace movd {
 /// <poly> is "x,y;x,y;x,y..." (>= 3 CCW vertices); <v> is one
 /// comma-separated scale factor per selected layer. The query-shape verbs
 /// share SOLVE's common keys (minus algo restrictions above and k, which
-/// SKYLINE/CONSTRAIN reject) and all parse to ServeVerb::kSolve with
-/// ServeRequest::kind set — the serving loop treats every shape alike.
-/// INSERT/DELETE also parse to ServeVerb::kSolve with
-/// ServeRequest::mutate set: a mutation rides the same dispatch (and the
-/// same admission control) as a query, it just takes the engine's
-/// mutation path instead of the solver.
+/// SKYLINE/CONSTRAIN reject). Every non-control verb parses to
+/// ServeVerb::kSolve and an EngineRequest whose EngineOp alternative names
+/// the verb — the serving loop treats every shape alike. INSERT/DELETE
+/// parse to a SiteMutation payload: a mutation rides the same dispatch
+/// (and the same admission control) as a query, it just takes the
+/// engine's mutation path instead of the solver.
 ///
 /// Every verb is one row of VerbRegistry() below; parsing, argument
 /// validation, error messages, HELP output, and movd_loadgen's --mix
@@ -102,7 +102,7 @@ enum ServeArg : uint32_t {
 /// Capability flags of a verb.
 enum ServeVerbCaps : uint32_t {
   /// Mutates a dataset and publishes a new snapshot version (INSERT,
-  /// DELETE). Parsed into ServeRequest::mutate/mutation.
+  /// DELETE). Parsed into a SiteMutation payload.
   kCapMutation = 1u << 0,
   /// Needs a MOVD overlay artifact, so algo=ssc is rejected (every
   /// query-algebra shape; plain SOLVE can fall back to the SSC scan).
@@ -120,8 +120,10 @@ struct VerbDescriptor {
   const char* name;        ///< wire keyword, upper-case ("SOLVE")
   int since_version;       ///< protocol version that introduced the verb
   ServeVerb verb;          ///< dispatch class for the serving loop
-  ServeQueryKind kind;     ///< query shape (non-control, non-mutation)
-  MutationKind mutation;   ///< mutation kind (kCapMutation verbs)
+  /// The payload a request of this verb starts from: the verb's EngineOp
+  /// alternative, default-constructed (a SiteMutation carries its kind).
+  /// The parser writes each argument into it. Unused by control verbs.
+  EngineOp op;
   uint32_t caps;           ///< ServeVerbCaps bits
   uint32_t allowed_args;   ///< ServeArg bits the verb accepts
   uint32_t required_args;  ///< ServeArg bits that must all be present
@@ -143,25 +145,24 @@ std::string HelpJson();
 
 /// Parses one request line into the typed API form. On success fills
 /// `verb` (and, for solve-class verbs including mutations, `request` —
-/// envelope plus the per-verb EngineOp variant built from the registry
-/// row) and returns OK; on failure returns kInvalidArgument (malformed
-/// arguments) or kUnsupportedVerb (a verb not in the registry) with the
-/// problem in the status message. Verbs are case-insensitive; arguments
-/// are space-separated key=value pairs and unknown keys are rejected (a
-/// misspelled option must not silently fall back to a default).
+/// the envelope plus the registry row's EngineOp alternative, with every
+/// argument written straight into the field it sets) and returns OK; on
+/// failure returns kInvalidArgument (malformed arguments) or
+/// kUnsupportedVerb (a verb not in the registry) with the problem in the
+/// status message. Verbs are case-insensitive; arguments are
+/// space-separated key=value pairs and unknown keys are rejected (a
+/// misspelled option must not silently fall back to a default), as are
+/// integers outside the range of the field they set.
 Status ParseRequest(const std::string& line, ServeVerb* verb,
                     EngineRequest* request);
 
-/// Compat shim over ParseRequest for callers that want the flat execution
-/// form directly: identical parse, then FlattenRequest.
-Status ParseRequestLine(const std::string& line, ServeVerb* verb,
-                        ServeRequest* request);
-
 /// Formats a typed request as one wire line (no trailing newline) — the
 /// inverse of ParseRequest, and what the typed client library
-/// (serve/client.h) sends. Argument emission is gated by the verb's
-/// registry row (a key the registry does not allow is never emitted) and
-/// doubles print with %.17g, so ParseRequest(FormatRequestLine(r))
+/// (serve/client.h) sends. Payload keys come from the EngineOp
+/// alternative (which holds only its verb's fields), envelope keys are
+/// gated by the verb's registry row (a key the registry does not allow is
+/// never emitted), and doubles print with %.17g, so
+/// ParseRequest(FormatRequestLine(r))
 /// rebuilds `r` exactly for any request that satisfies its verb's
 /// requirements (e.g. a CONSTRAIN with a boundary or an exclusion).
 std::string FormatRequestLine(const EngineRequest& request);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <set>
 #include <utility>
+#include <variant>
 
 #include "audit/audit_query.h"
 #include "audit/audit_update.h"
@@ -215,22 +216,14 @@ QueryEngine::Dataset* QueryEngine::FindDataset(const std::string& name) const {
   return it == datasets_.end() ? nullptr : it->second.get();
 }
 
-EngineResponse QueryEngine::Handle(const EngineRequest& request) {
-  return Solve(FlattenRequest(request));
-}
-
-std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
-  return SubmitAsync(FlattenRequest(request));
-}
-
-ServeResponse QueryEngine::Solve(const ServeRequest& request) {
+ServeResponse QueryEngine::Handle(const EngineRequest& request) {
   Stopwatch watch;
   ServeResponse resp;
-  if (request.mutate) {
-    resp = MutateInternal(request);
+  if (const auto* mut = std::get_if<SiteMutation>(&request.op)) {
+    resp = MutateInternal(request, *mut);
   } else {
     // The deadline budget starts now — on the thread actually serving the
-    // request (SubmitAsync workers call Solve on dequeue).
+    // request (HandleAsync workers call Handle on dequeue).
     const CancelToken token =
         request.deadline_ms > 0.0
             ? CancelToken::After(std::chrono::duration_cast<
@@ -254,7 +247,7 @@ ServeResponse QueryEngine::Solve(const ServeRequest& request) {
   return resp;
 }
 
-std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
+std::future<ServeResponse> QueryEngine::HandleAsync(EngineRequest request) {
   const int64_t cost = request.cost_units < 1 ? 1 : request.cost_units;
   // Early shedding, on the submitting thread: reject before the request
   // ever occupies queue space when the queue is already past its cost
@@ -310,7 +303,7 @@ std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
           metrics_.RecordRequest(resp.status, waited_ms * 1e-3, false);
           return resp;
         }
-        ServeResponse resp = Solve(request);
+        ServeResponse resp = Handle(request);
         // Fold this request's per-cost-unit service time into the EWMA the
         // early-shed predictor reads (relaxed: a heuristic, not a ledger).
         const auto cur = static_cast<uint64_t>(resp.seconds * 1e9 /
@@ -325,12 +318,12 @@ std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
   return future;
 }
 
-ServeResponse QueryEngine::MutateInternal(const ServeRequest& request) {
+ServeResponse QueryEngine::MutateInternal(const EngineRequest& request,
+                                          const SiteMutation& mut) {
   Dataset* node = FindDataset(request.dataset);
   if (node == nullptr) {
     return NotFound(request.id, "unknown dataset '" + request.dataset + "'");
   }
-  const SiteMutation& mut = request.mutation;
   if (!std::isfinite(mut.location.x) || !std::isfinite(mut.location.y)) {
     return Invalid(request.id, "mutation location must be finite");
   }
@@ -596,7 +589,7 @@ void QueryEngine::PatchArtifacts(
   }
 }
 
-ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
+ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
                                          const CancelToken& token) {
   Dataset* node = FindDataset(request.dataset);
   if (node == nullptr) {
@@ -610,7 +603,17 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     snap = node->snap;
   }
   const DatasetSnapshot& ds = *snap;
-  if (request.topk == 0) return Invalid(request.id, "k must be >= 1");
+  // The payload fields every shape reads, each from the one place it lives.
+  // CONSTRAIN has no algorithm field: it is RRB-only.
+  const MolqAlgorithm* algorithm_field = AlgorithmField(&request.op);
+  const MolqAlgorithm algorithm =
+      algorithm_field != nullptr ? *algorithm_field : MolqAlgorithm::kRrb;
+  const size_t* topk_field = TopKField(&request.op);
+  const size_t topk = topk_field != nullptr ? *topk_field : 1;
+  const bool plain = std::holds_alternative<SolveSpec>(request.op);
+  const auto* constrain = std::get_if<ConstrainSpec>(&request.op);
+  const auto* what_if = std::get_if<WhatIfSpec>(&request.op);
+  if (topk == 0) return Invalid(request.id, "k must be >= 1");
   if (!(request.epsilon > 0.0)) {
     return Invalid(request.id, "epsilon must be > 0");
   }
@@ -638,7 +641,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   resp.version = ds.version;
 
   MolqOptions molq;
-  molq.algorithm = request.algorithm;
+  molq.algorithm = algorithm;
   molq.epsilon = request.epsilon;
   molq.exec = request.exec;
   // The engine owns resolution (cache-key component) and cancellation
@@ -654,20 +657,14 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
 
   // Engine-level shape restrictions (the protocol parser enforces the same
   // rules, but the engine is also called directly by molq_cli and tests).
-  if (request.kind != ServeQueryKind::kMolq &&
-      request.algorithm == MolqAlgorithm::kSsc) {
+  if (!plain && algorithm == MolqAlgorithm::kSsc) {
     return Invalid(request.id,
                    "query-algebra shapes need a MOVD artifact (rrb|mbrb), "
                    "not ssc");
   }
-  if (request.kind == ServeQueryKind::kConstrained &&
-      request.algorithm == MolqAlgorithm::kMbrb) {
-    return Invalid(request.id,
-                   "CONSTRAIN is RRB-only (the clipper needs real regions)");
-  }
 
-  if (request.algorithm == MolqAlgorithm::kSsc) {
-    if (request.topk != 1) {
+  if (algorithm == MolqAlgorithm::kSsc) {
+    if (topk != 1) {
       return Invalid(request.id, "SSC serves k=1 only; use rrb/mbrb");
     }
     // SSC enumerates raw combinations — no diagram artifacts to cache, so
@@ -698,13 +695,13 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   }
 
   // Shape-specific request validation, before any artifact work.
-  if (request.kind == ServeQueryKind::kConstrained) {
-    const Status valid = ValidateConstraint(request.constraint);
+  if (constrain != nullptr) {
+    const Status valid = ValidateConstraint(constrain->constraint);
     if (!valid.ok()) return Invalid(request.id, valid.message());
   }
   std::vector<WhatIfVector> vectors;
-  if (request.kind == ServeQueryKind::kWhatIf) {
-    if (request.sweep.empty()) {
+  if (what_if != nullptr) {
+    if (what_if->sweep.empty()) {
       return Invalid(request.id, "what-if needs at least one sweep vector");
     }
     // Pad each per-layer sweep vector to a full-dataset WhatIfVector with
@@ -713,8 +710,8 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     const double identity =
         ds.query.type_function == WeightFunctionKind::kMultiplicative ? 1.0
                                                                       : 0.0;
-    vectors.reserve(request.sweep.size());
-    for (const std::vector<double>& scales : request.sweep) {
+    vectors.reserve(what_if->sweep.size());
+    for (const std::vector<double>& scales : what_if->sweep) {
       if (scales.size() != layers.size()) {
         return Invalid(request.id,
                        "sweep vector has " + std::to_string(scales.size()) +
@@ -732,7 +729,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     }
   }
 
-  const BoundaryMode mode = request.algorithm == MolqAlgorithm::kMbrb
+  const BoundaryMode mode = algorithm == MolqAlgorithm::kMbrb
                                 ? BoundaryMode::kMbr
                                 : BoundaryMode::kRealRegion;
   bool overlay_hit = false;
@@ -740,9 +737,10 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   std::shared_ptr<const Movd> overlay;
   {
     TRACE_SPAN("serve_overlay");
-    overlay = request.kind == ServeQueryKind::kConstrained
-                  ? GetClippedOverlay(ds, request.dataset, layers, request,
-                                      token, &overlay_hit)
+    overlay = constrain != nullptr
+                  ? GetClippedOverlay(ds, request.dataset, layers,
+                                      constrain->constraint, request, token,
+                                      &overlay_hit)
                   : GetOverlay(ds, request.dataset, layers, mode, request,
                                token, &overlay_hit);
   }
@@ -756,8 +754,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   // A clipped overlay may legitimately be empty — the constraint excluded
   // every candidate region — and answers as "infeasible" below. Every
   // other shape requires a non-empty artifact.
-  if (overlay->ovrs.empty() &&
-      request.kind != ServeQueryKind::kConstrained) {
+  if (overlay->ovrs.empty() && constrain == nullptr) {
     resp.status = StatusCode::kInternal;
     resp.error = "overlay produced an empty MOVD";
     return resp;
@@ -770,115 +767,102 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   phase_watch = Stopwatch();
   {
     TRACE_SPAN("serve_optimize");
-    switch (request.kind) {
-      case ServeQueryKind::kMolq: {
-        const MolqResult top =
-            TopKFromMovd(ds.query, *overlay, request.topk, molq);
-        if (top.status == StatusCode::kCancelled) {
-          resp.status = StatusCode::kDeadlineExceeded;
-          resp.error = "deadline exceeded during optimization";
-          return resp;
-        }
-        resp.answers.reserve(top.ranked.size());
-        for (const RankedLocation& r : top.ranked) {
-          ServeAnswer answer;
-          answer.location = r.location;
-          answer.cost = r.cost;
-          answer.group = r.group;
-          resp.answers.push_back(std::move(answer));
-        }
-        break;
+    if (plain) {
+      const MolqResult top = TopKFromMovd(ds.query, *overlay, topk, molq);
+      if (top.status == StatusCode::kCancelled) {
+        resp.status = StatusCode::kDeadlineExceeded;
+        resp.error = "deadline exceeded during optimization";
+        return resp;
       }
-      case ServeQueryKind::kSkyline: {
-        const SkylineResult r =
-            SkylineFromMovd(ds.query, *overlay, candidate_options);
-        if (r.status == StatusCode::kCancelled) {
-          resp.status = StatusCode::kDeadlineExceeded;
-          resp.error = "deadline exceeded during skyline evaluation";
-          return resp;
-        }
-        if (molq.exec.audit) {
-          const AuditReport report = AuditSkyline(ds.query, r);
-          if (!report.ok()) return AuditFailure(request.id, "skyline", report);
-        }
-        resp.answers.reserve(r.skyline.size());
-        for (const SiteCandidate& c : r.skyline) {
-          resp.answers.push_back(AnswerFromCandidate(c));
-        }
-        break;
+      resp.answers.reserve(top.ranked.size());
+      for (const RankedLocation& r : top.ranked) {
+        ServeAnswer answer;
+        answer.location = r.location;
+        answer.cost = r.cost;
+        answer.group = r.group;
+        resp.answers.push_back(std::move(answer));
       }
-      case ServeQueryKind::kDiverse: {
-        const DiverseTopKResult r =
-            DiverseTopKFromMovd(ds.query, *overlay, request.topk,
-                                request.min_distance, candidate_options);
-        if (r.status == StatusCode::kCancelled) {
-          resp.status = StatusCode::kDeadlineExceeded;
-          resp.error = "deadline exceeded during diversified top-k";
-          return resp;
-        }
-        if (molq.exec.audit) {
-          const AuditReport report = AuditDiverseTopK(
-              ds.query, request.topk, request.min_distance, r);
-          if (!report.ok()) {
-            return AuditFailure(request.id, "diversified top-k", report);
-          }
-        }
-        resp.answers.reserve(r.selected.size());
-        for (const SiteCandidate& c : r.selected) {
-          resp.answers.push_back(AnswerFromCandidate(c));
-        }
-        break;
+    } else if (std::holds_alternative<SkylineSpec>(request.op)) {
+      const SkylineResult r =
+          SkylineFromMovd(ds.query, *overlay, candidate_options);
+      if (r.status == StatusCode::kCancelled) {
+        resp.status = StatusCode::kDeadlineExceeded;
+        resp.error = "deadline exceeded during skyline evaluation";
+        return resp;
       }
-      case ServeQueryKind::kConstrained: {
-        const ConstrainedMolqResult r =
-            ConstrainedFromClippedMovd(ds.query, *overlay,
-                                       candidate_options);
-        if (r.status == StatusCode::kCancelled) {
-          resp.status = StatusCode::kDeadlineExceeded;
-          resp.error = "deadline exceeded during constrained optimization";
-          return resp;
-        }
-        if (molq.exec.audit) {
-          const AuditReport report = AuditConstrainedMolq(
-              ds.query, request.constraint, ds.world, r);
-          if (!report.ok()) {
-            return AuditFailure(request.id, "constrained MOLQ", report);
-          }
-        }
-        // Infeasible constraints answer OK with zero answers: the request
-        // was well-formed; the feasible set just contains no candidate.
-        if (r.feasible) resp.answers.push_back(AnswerFromCandidate(r.best));
-        break;
+      if (molq.exec.audit) {
+        const AuditReport report = AuditSkyline(ds.query, r);
+        if (!report.ok()) return AuditFailure(request.id, "skyline", report);
       }
-      case ServeQueryKind::kWhatIf: {
-        WhatIfOptions what_if;
-        what_if.epsilon = request.epsilon;
-        what_if.topk = request.topk;
-        what_if.exec = molq.exec;
-        const WhatIfSweepResult r =
-            WhatIfSweepFromMovd(ds.query, *overlay, vectors, what_if);
-        if (r.status == StatusCode::kCancelled) {
-          resp.status = StatusCode::kDeadlineExceeded;
-          resp.error = "deadline exceeded during what-if sweep";
-          return resp;
+      resp.answers.reserve(r.skyline.size());
+      for (const SiteCandidate& c : r.skyline) {
+        resp.answers.push_back(AnswerFromCandidate(c));
+      }
+    } else if (const auto* diverse = std::get_if<DiverseSpec>(&request.op)) {
+      const DiverseTopKResult r =
+          DiverseTopKFromMovd(ds.query, *overlay, topk,
+                              diverse->min_distance, candidate_options);
+      if (r.status == StatusCode::kCancelled) {
+        resp.status = StatusCode::kDeadlineExceeded;
+        resp.error = "deadline exceeded during diversified top-k";
+        return resp;
+      }
+      if (molq.exec.audit) {
+        const AuditReport report =
+            AuditDiverseTopK(ds.query, topk, diverse->min_distance, r);
+        if (!report.ok()) {
+          return AuditFailure(request.id, "diversified top-k", report);
         }
-        if (molq.exec.audit) {
-          const AuditReport report =
-              AuditWhatIfSweep(ds.query, vectors, request.topk, r);
-          if (!report.ok()) {
-            return AuditFailure(request.id, "what-if sweep", report);
-          }
+      }
+      resp.answers.reserve(r.selected.size());
+      for (const SiteCandidate& c : r.selected) {
+        resp.answers.push_back(AnswerFromCandidate(c));
+      }
+    } else if (constrain != nullptr) {
+      const ConstrainedMolqResult r =
+          ConstrainedFromClippedMovd(ds.query, *overlay, candidate_options);
+      if (r.status == StatusCode::kCancelled) {
+        resp.status = StatusCode::kDeadlineExceeded;
+        resp.error = "deadline exceeded during constrained optimization";
+        return resp;
+      }
+      if (molq.exec.audit) {
+        const AuditReport report = AuditConstrainedMolq(
+            ds.query, constrain->constraint, ds.world, r);
+        if (!report.ok()) {
+          return AuditFailure(request.id, "constrained MOLQ", report);
         }
-        resp.sweep_answers.reserve(r.per_vector.size());
-        for (const std::vector<SiteCandidate>& ranking : r.per_vector) {
-          std::vector<ServeAnswer> answers;
-          answers.reserve(ranking.size());
-          for (const SiteCandidate& c : ranking) {
-            answers.push_back(AnswerFromCandidate(c));
-          }
-          resp.sweep_answers.push_back(std::move(answers));
+      }
+      // Infeasible constraints answer OK with zero answers: the request
+      // was well-formed; the feasible set just contains no candidate.
+      if (r.feasible) resp.answers.push_back(AnswerFromCandidate(r.best));
+    } else if (what_if != nullptr) {
+      WhatIfOptions what_if_options;
+      what_if_options.epsilon = request.epsilon;
+      what_if_options.topk = topk;
+      what_if_options.exec = molq.exec;
+      const WhatIfSweepResult r =
+          WhatIfSweepFromMovd(ds.query, *overlay, vectors, what_if_options);
+      if (r.status == StatusCode::kCancelled) {
+        resp.status = StatusCode::kDeadlineExceeded;
+        resp.error = "deadline exceeded during what-if sweep";
+        return resp;
+      }
+      if (molq.exec.audit) {
+        const AuditReport report =
+            AuditWhatIfSweep(ds.query, vectors, topk, r);
+        if (!report.ok()) {
+          return AuditFailure(request.id, "what-if sweep", report);
         }
-        break;
+      }
+      resp.sweep_answers.reserve(r.per_vector.size());
+      for (const std::vector<SiteCandidate>& ranking : r.per_vector) {
+        std::vector<ServeAnswer> answers;
+        answers.reserve(ranking.size());
+        for (const SiteCandidate& c : ranking) {
+          answers.push_back(AnswerFromCandidate(c));
+        }
+        resp.sweep_answers.push_back(std::move(answers));
       }
     }
   }
@@ -890,7 +874,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
 std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     const DatasetSnapshot& ds, const std::string& ds_name,
     const std::vector<int32_t>& layers, BoundaryMode mode,
-    const ServeRequest& request, const CancelToken& token,
+    const EngineRequest& request, const CancelToken& token,
     bool* overlay_hit) {
   *overlay_hit = false;
   // The weighted method changes the cover geometry (adaptive and dense
@@ -952,8 +936,9 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
 
 std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
     const DatasetSnapshot& ds, const std::string& ds_name,
-    const std::vector<int32_t>& layers, const ServeRequest& request,
-    const CancelToken& token, bool* overlay_hit) {
+    const std::vector<int32_t>& layers, const QueryConstraint& constraint,
+    const EngineRequest& request, const CancelToken& token,
+    bool* overlay_hit) {
   *overlay_hit = false;
   const auto build = [&]() -> std::shared_ptr<const Movd> {
     // The unclipped RRB overlay goes through the ordinary artifact path,
@@ -964,7 +949,7 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
         GetOverlay(ds, ds_name, layers, BoundaryMode::kRealRegion, request,
                    token, &base_hit);
     if (overlay == nullptr) return nullptr;
-    const Region feasible = BuildFeasibleRegion(request.constraint, ds.world);
+    const Region feasible = BuildFeasibleRegion(constraint, ds.world);
     if (token.Expired()) return nullptr;
     return std::make_shared<const Movd>(
         ClipMovdToFeasible(*overlay, feasible));
@@ -975,7 +960,7 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
       LayersTag(layers) + "/rrb" +
       ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
                         options_.exec.weighted_method, ds.weight_tag) +
-      "/c" + ConstraintHash(request.constraint);
+      "/c" + ConstraintHash(constraint);
   return cache_.GetOrBuild(key, build, overlay_hit, token.deadline());
 }
 

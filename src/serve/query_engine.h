@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <memory>
@@ -29,10 +30,10 @@ struct QueryEngineOptions {
   /// Artifact-cache budget in bytes (ArtifactBytes accounting). 0 disables
   /// caching — every request rebuilds from scratch.
   size_t cache_bytes = 256ull << 20;
-  /// Worker threads draining the request queue (SubmitAsync). 0 = one per
+  /// Worker threads draining the request queue (HandleAsync). 0 = one per
   /// hardware thread. Workers only control cross-request concurrency;
-  /// per-request parallelism is ServeRequest::threads, and answers are
-  /// bit-identical regardless of either knob.
+  /// per-request parallelism is EngineRequest::exec.threads, and answers
+  /// are bit-identical regardless of either knob.
   int workers = 0;
   /// Engine-wide execution defaults. exec.weighted_grid_resolution is the
   /// grid resolution for weighted-diagram approximation (part of every
@@ -44,7 +45,7 @@ struct QueryEngineOptions {
   /// per-request knobs (threads/cancel) are ignored here.
   ExecOptions exec;
   /// Admission control (DESIGN.md §14): total cost units allowed in the
-  /// SubmitAsync queue before new requests are shed with kOverloaded.
+  /// HandleAsync queue before new requests are shed with kOverloaded.
   /// 0 disables queue-depth shedding.
   size_t admission_cost_limit = 0;
   /// Queue-delay budget in milliseconds: a request is shed with
@@ -63,7 +64,7 @@ struct QueryEngineOptions {
 /// cache boundary: diagrams and overlays are cached and shared across
 /// requests, the Fermat–Weber optimization runs per request.
 ///
-/// Live updates (DESIGN.md §14): Solve routes mutation requests through
+/// Live updates (DESIGN.md §14): Handle routes mutation requests through
 /// the incremental patcher (src/core/update.h) — only the Voronoi cells a
 /// mutation affects are recomputed, cached overlays are patched instead of
 /// rebuilt, and the result is published as a new immutable snapshot.
@@ -71,17 +72,16 @@ struct QueryEngineOptions {
 /// versions go cold and age out through the LRU byte accounting while
 /// in-flight queries pinned to them keep answering bit-identically.
 ///
-/// The typed front door is Engine::Handle/HandleAsync (serve/engine_api.h);
-/// Solve/SubmitAsync on the flat execution form stay public for the
-/// engine's own tests.
+/// Every front end reaches it through Handle/HandleAsync with a typed
+/// EngineRequest (serve/engine_api.h).
 ///
 /// Thread-safety: RegisterDataset must finish before serving starts;
-/// Solve/SubmitAsync (queries and mutations alike) are then safe from any
+/// Handle/HandleAsync (queries and mutations alike) are then safe from any
 /// number of threads. Mutations serialize per dataset.
-class QueryEngine : public Engine {
+class QueryEngine {
  public:
   explicit QueryEngine(const QueryEngineOptions& options = {});
-  ~QueryEngine() override;
+  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -91,48 +91,40 @@ class QueryEngine : public Engine {
   /// publishes a fresh snapshot whose version is newer than any prior one
   /// (never reusing a version, so stale cached artifacts cannot collide).
   void RegisterDataset(const std::string& name, MolqQuery query,
-                       const Rect& world) override MOVD_EXCLUDES(datasets_mu_);
+                       const Rect& world) MOVD_EXCLUDES(datasets_mu_);
 
   /// The dataset's current snapshot; null when unknown. The pointer stays
   /// valid (and immutable) for as long as the caller holds it, however
   /// many mutations publish newer versions meanwhile.
   std::shared_ptr<const DatasetSnapshot> dataset_snapshot(
-      const std::string& name) const override;
+      const std::string& name) const;
 
-  /// Serves one typed request synchronously: flatten through the single
-  /// choke point, then Solve.
-  EngineResponse Handle(const EngineRequest& request) override;
-
-  /// Enqueues one typed request (FlattenRequest + SubmitAsync).
-  std::future<EngineResponse> HandleAsync(EngineRequest request) override;
-
-  /// Solves one flat request synchronously on the calling thread (mutation
+  /// Serves one request synchronously on the calling thread (mutation
   /// requests apply + publish instead). The deadline clock starts now.
-  ServeResponse Solve(const ServeRequest& request);
+  ServeResponse Handle(const EngineRequest& request);
 
-  /// Enqueues one flat request onto the engine's worker pool; the returned
-  /// future resolves when a worker has solved it. The deadline clock
+  /// Enqueues one request onto the engine's worker pool; the returned
+  /// future resolves when a worker has served it. The deadline clock
   /// starts when a worker dequeues the request, so queueing delay does not
   /// eat the solve budget (the line protocol reports total time anyway).
   /// Admission control applies here: a request may resolve immediately to
   /// kOverloaded when the queue's cost depth or predicted delay exceeds
   /// the configured budgets, and again at dequeue when its actual queue
   /// delay blew the budget.
-  std::future<ServeResponse> SubmitAsync(ServeRequest request);
+  std::future<ServeResponse> HandleAsync(EngineRequest request);
 
   const ServeMetrics& metrics() const { return metrics_; }
   ArtifactCache::Stats cache_stats() const { return cache_.stats(); }
-  std::string MetricsJson() const override {
-    return metrics_.Json(cache_.stats());
-  }
-  void DumpMetrics(std::FILE* out) const override {
+  /// Serving metrics as the STATS JSON body / a human-readable table.
+  std::string MetricsJson() const { return metrics_.Json(cache_.stats()); }
+  void DumpMetrics(std::FILE* out) const {
     metrics_.DumpTable(out, cache_.stats());
   }
 
   /// Warm start: persists every resident artifact to `dir` (created if
   /// missing) as MOVD files plus a manifest mapping keys to files.
   /// kIoError (with the failing path in the message) on I/O failure.
-  Status SaveCache(const std::string& dir) const override;
+  Status SaveCache(const std::string& dir) const;
 
   /// Loads a SaveCache snapshot back into the cache. Corrupt or truncated
   /// artifact files are skipped and counted in `failed` — a damaged
@@ -140,7 +132,7 @@ class QueryEngine : public Engine {
   /// (every file is validated by the movd_file header/record checks).
   /// Keys carry dataset versions, so a snapshot saved after mutations only
   /// warms a server whose datasets reach the same versions again.
-  WarmLoadResult LoadCache(const std::string& dir) override;
+  WarmLoadResult LoadCache(const std::string& dir);
 
  private:
   struct Dataset {
@@ -156,14 +148,15 @@ class QueryEngine : public Engine {
 
   Dataset* FindDataset(const std::string& name) const
       MOVD_EXCLUDES(datasets_mu_);
-  ServeResponse SolveInternal(const ServeRequest& request,
+  ServeResponse SolveInternal(const EngineRequest& request,
                               const CancelToken& token);
   /// Applies one mutation: validates it against the current snapshot,
   /// patches the triangulation/cells incrementally (full rebuild when the
   /// layer is weighted or the incremental deletion stalls), patches or
   /// re-keys every cached artifact of the dataset, and publishes the new
   /// snapshot. Serialized per dataset by Dataset::mutate_mu.
-  ServeResponse MutateInternal(const ServeRequest& request);
+  ServeResponse MutateInternal(const EngineRequest& request,
+                               const SiteMutation& mut);
   /// The artifact-maintenance half of a mutation: produce the mutated
   /// layer's new basic (incrementally when possible), then walk the cache
   /// and patch/re-key/drop every entry of `ds_name` at `old_snap`'s
@@ -182,18 +175,19 @@ class QueryEngine : public Engine {
                                          const std::string& ds_name,
                                          const std::vector<int32_t>& layers,
                                          BoundaryMode mode,
-                                         const ServeRequest& request,
+                                         const EngineRequest& request,
                                          const CancelToken& token,
                                          bool* overlay_hit);
-  /// The RRB overlay clipped to the request's feasible set, cached under a
+  /// The RRB overlay clipped to `constraint`, cached under a
   /// constraint-hashed key ("cns/...") so repeats of the same constraint
   /// reuse the clip. The unclipped overlay is fetched through GetOverlay
   /// (hence itself cached); `overlay_hit` reports the clipped-artifact
   /// lookup. Null when the deadline fired.
   std::shared_ptr<const Movd> GetClippedOverlay(
       const DatasetSnapshot& ds, const std::string& ds_name,
-      const std::vector<int32_t>& layers, const ServeRequest& request,
-      const CancelToken& token, bool* overlay_hit);
+      const std::vector<int32_t>& layers, const QueryConstraint& constraint,
+      const EngineRequest& request, const CancelToken& token,
+      bool* overlay_hit);
 
   QueryEngineOptions options_;
   mutable Mutex datasets_mu_;

@@ -1,6 +1,7 @@
 #ifndef MOVD_UTIL_FLAGS_H_
 #define MOVD_UTIL_FLAGS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -34,6 +35,18 @@ class Flags {
   /// Returns the double value of --name, or `def` when absent or malformed
   /// (a malformed value is recorded for ReportMalformed).
   double GetDouble(const std::string& name, double def) const;
+
+  /// Returns the comma-separated list of non-negative integers in --name
+  /// (`--sizes=16,32`), or the list `def` spells when absent or malformed.
+  /// Every element must parse whole: `16,3x` and `16,,32` are malformed and
+  /// recorded, never read as a prefix or a zero.
+  std::vector<size_t> GetSizeList(const std::string& name,
+                                  const std::string& def) const;
+
+  /// As GetSizeList, for a comma-separated list of numbers
+  /// (`--epsilons=1e-2,1e-3`).
+  std::vector<double> GetDoubleList(const std::string& name,
+                                    const std::string& def) const;
 
   /// Returns the value of --name: true for a bare `--name` or `=true`/`=1`,
   /// false for `=false`/`=0`, `def` when absent. Any other value is

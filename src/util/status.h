@@ -12,8 +12,8 @@ namespace movd {
 
 /// The one terminal-state vocabulary shared by every subsystem (solver
 /// entry points, storage, serving). Before this enum the repo had three
-/// ad-hoc conventions — bool + error out-param (SaveCache,
-/// ParseRequestLine), optional<T> sentinels (LoadMovd), and per-layer
+/// ad-hoc conventions — bool + error out-param (SaveCache, the
+/// request-line parser), optional<T> sentinels (LoadMovd), and per-layer
 /// enums (MolqStatus, ServeStatus); they are all expressed in this one
 /// code space now. `MolqStatus` is an alias of this enum.
 enum class StatusCode : uint8_t {

@@ -6,6 +6,8 @@
 // and without tracing.
 
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +42,17 @@ MolqQuery TestQuery(const std::vector<size_t>& sizes, uint64_t seed) {
     query.sets.push_back(std::move(set));
   }
   return query;
+}
+
+template <typename Spec>
+concept HasAlgorithm = requires(Spec spec) { spec.algorithm; };
+
+/// A request for the query shape `op` against `dataset`.
+EngineRequest ShapeRequest(const std::string& dataset, EngineOp op) {
+  EngineRequest request;
+  request.dataset = dataset;
+  request.op = std::move(op);
+  return request;
 }
 
 Movd BuildOverlay(const MolqQuery& query, BoundaryMode mode) {
@@ -92,66 +105,68 @@ TEST(ServeQueryProtocolTest, ParseSweepSpec) {
 
 TEST(ServeQueryProtocolTest, ParsesSkylineLine) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("SKYLINE id=s1 dataset=d layers=0,1 algo=mbrb",
-                               &verb, &request)
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("SKYLINE id=s1 dataset=d layers=0,1 algo=mbrb",
+                           &verb, &request)
                   .ok());
   EXPECT_EQ(verb, ServeVerb::kSolve);
-  EXPECT_EQ(request.kind, ServeQueryKind::kSkyline);
-  EXPECT_EQ(request.algorithm, MolqAlgorithm::kMbrb);
+  ASSERT_TRUE(std::holds_alternative<SkylineSpec>(request.op));
+  EXPECT_EQ(std::get<SkylineSpec>(request.op).algorithm,
+            MolqAlgorithm::kMbrb);
   // SKYLINE has no ranking depth; k= must be rejected, as must ssc.
+  EXPECT_FALSE(ParseRequest("SKYLINE dataset=d k=3", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SKYLINE dataset=d k=3", &verb, &request).ok());
-  EXPECT_FALSE(
-      ParseRequestLine("SKYLINE dataset=d algo=ssc", &verb, &request).ok());
+      ParseRequest("SKYLINE dataset=d algo=ssc", &verb, &request).ok());
 }
 
 TEST(ServeQueryProtocolTest, ParsesDiverseLine) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("DIVERSE dataset=d k=4 min_dist=12.5", &verb,
-                               &request)
-                  .ok());
-  EXPECT_EQ(request.kind, ServeQueryKind::kDiverse);
-  EXPECT_EQ(request.topk, 4u);
-  EXPECT_DOUBLE_EQ(request.min_distance, 12.5);
+  EngineRequest request;
+  ASSERT_TRUE(
+      ParseRequest("DIVERSE dataset=d k=4 min_dist=12.5", &verb, &request)
+          .ok());
+  ASSERT_TRUE(std::holds_alternative<DiverseSpec>(request.op));
+  EXPECT_EQ(std::get<DiverseSpec>(request.op).topk, 4u);
+  EXPECT_DOUBLE_EQ(std::get<DiverseSpec>(request.op).min_distance, 12.5);
   // Both k and min_dist are required; min_dist must be non-negative.
-  EXPECT_FALSE(ParseRequestLine("DIVERSE dataset=d k=4", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("DIVERSE dataset=d k=4", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("DIVERSE dataset=d min_dist=5", &verb, &request).ok());
+      ParseRequest("DIVERSE dataset=d min_dist=5", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("DIVERSE dataset=d k=4 min_dist=-1", &verb, &request)
+      ParseRequest("DIVERSE dataset=d k=4 min_dist=-1", &verb, &request)
           .ok());
   // min_dist is DIVERSE-only vocabulary.
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d min_dist=5", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d min_dist=5", &verb, &request).ok());
 }
 
 TEST(ServeQueryProtocolTest, ParsesConstrainLine) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine(
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest(
                   "CONSTRAIN dataset=d boundary=10,10;90,10;90,90;10,90 "
                   "exclude=20,20;40,20;40,40;20,40 "
                   "exclude=60,60;80,60;80,80;60,80",
                   &verb, &request)
                   .ok());
-  EXPECT_EQ(request.kind, ServeQueryKind::kConstrained);
-  EXPECT_EQ(request.constraint.boundary.vertices().size(), 4u);
-  ASSERT_EQ(request.constraint.exclusions.size(), 2u);  // exclude= repeats
+  ASSERT_TRUE(std::holds_alternative<ConstrainSpec>(request.op));
+  const QueryConstraint& constraint =
+      std::get<ConstrainSpec>(request.op).constraint;
+  EXPECT_EQ(constraint.boundary.vertices().size(), 4u);
+  ASSERT_EQ(constraint.exclusions.size(), 2u);  // exclude= repeats
   // At least one constraint ring is required; algo and k are rejected
   // (CONSTRAIN is RRB-only and returns the single optimum).
-  EXPECT_FALSE(ParseRequestLine("CONSTRAIN dataset=d", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine(
+  EXPECT_FALSE(ParseRequest("CONSTRAIN dataset=d", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest(
                    "CONSTRAIN dataset=d algo=rrb boundary=0,0;9,0;9,9", &verb,
                    &request)
                    .ok());
   EXPECT_FALSE(
-      ParseRequestLine("CONSTRAIN dataset=d k=2 boundary=0,0;9,0;9,9", &verb,
-                       &request)
+      ParseRequest("CONSTRAIN dataset=d k=2 boundary=0,0;9,0;9,9", &verb,
+                   &request)
           .ok());
   // A second boundary= is ambiguous, not an append.
-  EXPECT_FALSE(ParseRequestLine(
+  EXPECT_FALSE(ParseRequest(
                    "CONSTRAIN dataset=d boundary=0,0;9,0;9,9 "
                    "boundary=1,1;8,1;8,8",
                    &verb, &request)
@@ -160,16 +175,16 @@ TEST(ServeQueryProtocolTest, ParsesConstrainLine) {
 
 TEST(ServeQueryProtocolTest, ParsesWhatIfLine) {
   ServeVerb verb;
-  ServeRequest request;
+  EngineRequest request;
   ASSERT_TRUE(
-      ParseRequestLine("WHATIF dataset=d sweep=1,1|2,0.5 k=2", &verb, &request)
+      ParseRequest("WHATIF dataset=d sweep=1,1|2,0.5 k=2", &verb, &request)
           .ok());
-  EXPECT_EQ(request.kind, ServeQueryKind::kWhatIf);
-  ASSERT_EQ(request.sweep.size(), 2u);
-  EXPECT_EQ(request.topk, 2u);
-  EXPECT_FALSE(ParseRequestLine("WHATIF dataset=d", &verb, &request).ok());
+  ASSERT_TRUE(std::holds_alternative<WhatIfSpec>(request.op));
+  ASSERT_EQ(std::get<WhatIfSpec>(request.op).sweep.size(), 2u);
+  EXPECT_EQ(std::get<WhatIfSpec>(request.op).topk, 2u);
+  EXPECT_FALSE(ParseRequest("WHATIF dataset=d", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d sweep=1,1", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d sweep=1,1", &verb, &request).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,10 +194,7 @@ TEST(ServeQueryEngineTest, SkylineMatchesDirectEvaluator) {
   const MolqQuery query = TestQuery({12, 10}, 61);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  request.kind = ServeQueryKind::kSkyline;
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(ShapeRequest("d", SkylineSpec{}));
   ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
@@ -197,12 +209,8 @@ TEST(ServeQueryEngineTest, DiverseMatchesDirectEvaluator) {
   const MolqQuery query = TestQuery({12, 10}, 62);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  request.kind = ServeQueryKind::kDiverse;
-  request.topk = 3;
-  request.min_distance = 20.0;
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(
+      ShapeRequest("d", DiverseSpec{MolqAlgorithm::kRrb, 3, 20.0}));
   ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
@@ -218,30 +226,26 @@ TEST(ServeQueryEngineTest, ConstrainMatchesDirectEvaluator) {
   const MolqQuery query = TestQuery({12, 10}, 63);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  request.kind = ServeQueryKind::kConstrained;
-  request.constraint.boundary =
-      Polygon({{10, 10}, {80, 10}, {80, 80}, {10, 80}});
-  request.constraint.exclusions.push_back(
+  ConstrainSpec spec;
+  spec.constraint.boundary = Polygon({{10, 10}, {80, 10}, {80, 80}, {10, 80}});
+  spec.constraint.exclusions.push_back(
       Polygon({{30, 30}, {55, 30}, {55, 55}, {30, 55}}));
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(ShapeRequest("d", spec));
   ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
   ASSERT_EQ(resp.answers.size(), 1u);
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
-  const ConstrainedMolqResult direct = ConstrainedMolqFromMovd(
-      query, overlay, request.constraint, kBounds);
+  const ConstrainedMolqResult direct =
+      ConstrainedMolqFromMovd(query, overlay, spec.constraint, kBounds);
   ASSERT_TRUE(direct.feasible);
   ExpectAnswerMatchesCandidate(resp.answers[0], direct.best);
 
   // An infeasible constraint is an OK response with zero answers, not an
   // error.
-  ServeRequest infeasible = request;
-  infeasible.constraint.exclusions.clear();
+  ConstrainSpec infeasible;
   infeasible.constraint.boundary =
       Polygon({{200, 200}, {300, 200}, {300, 300}, {200, 300}});
-  const ServeResponse empty = engine.Solve(infeasible);
+  const ServeResponse empty = engine.Handle(ShapeRequest("d", infeasible));
   ASSERT_EQ(empty.status, StatusCode::kOk) << empty.error;
   EXPECT_TRUE(empty.answers.empty());
 }
@@ -253,16 +257,12 @@ TEST(ServeQueryEngineTest, WhatIfMatchesDirectEvaluatorAndReusesOverlay) {
 
   // Warm the RRB overlay with a plain solve first: the sweep must then be
   // served from the same artifact without rebuilding anything.
-  ServeRequest solve;
-  solve.dataset = "d";
-  ASSERT_EQ(engine.Solve(solve).status, StatusCode::kOk);
+  ASSERT_EQ(engine.Handle(ShapeRequest("d", SolveSpec{})).status,
+            StatusCode::kOk);
 
-  ServeRequest request;
-  request.dataset = "d";
-  request.kind = ServeQueryKind::kWhatIf;
-  request.topk = 2;
-  request.sweep = {{1.0, 1.0}, {2.0, 0.5}, {0.1, 3.0}};
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(ShapeRequest(
+      "d", WhatIfSpec{MolqAlgorithm::kRrb, 2,
+                      {{1.0, 1.0}, {2.0, 0.5}, {0.1, 3.0}}}));
   ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
   EXPECT_TRUE(resp.cache_hit);  // the warm what-if rebuilt no artifacts
   EXPECT_TRUE(resp.answers.empty());
@@ -291,16 +291,14 @@ TEST(ServeQueryEngineTest, ConstraintCacheKeysByConstraintHash) {
   const MolqQuery query = TestQuery({10, 10}, 65);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  request.kind = ServeQueryKind::kConstrained;
-  request.constraint.boundary =
-      Polygon({{10, 10}, {90, 10}, {90, 90}, {10, 90}});
-  const ServeResponse cold = engine.Solve(request);
+  ConstrainSpec spec;
+  spec.constraint.boundary = Polygon({{10, 10}, {90, 10}, {90, 90}, {10, 90}});
+  const EngineRequest request = ShapeRequest("d", spec);
+  const ServeResponse cold = engine.Handle(request);
   ASSERT_EQ(cold.status, StatusCode::kOk) << cold.error;
   EXPECT_FALSE(cold.cache_hit);
   // Same constraint: the clipped overlay is reused outright.
-  const ServeResponse warm = engine.Solve(request);
+  const ServeResponse warm = engine.Handle(request);
   ASSERT_EQ(warm.status, StatusCode::kOk);
   EXPECT_TRUE(warm.cache_hit);
   ASSERT_EQ(warm.answers.size(), cold.answers.size());
@@ -310,9 +308,9 @@ TEST(ServeQueryEngineTest, ConstraintCacheKeysByConstraintHash) {
   }
   // A different constraint must NOT reuse the clipped artifact (though it
   // shares the unclipped overlay underneath).
-  ServeRequest other = request;
+  ConstrainSpec other;
   other.constraint.boundary = Polygon({{20, 20}, {80, 20}, {80, 80}, {20, 80}});
-  const ServeResponse different = engine.Solve(other);
+  const ServeResponse different = engine.Handle(ShapeRequest("d", other));
   ASSERT_EQ(different.status, StatusCode::kOk);
   EXPECT_FALSE(different.cache_hit);
 }
@@ -322,59 +320,48 @@ TEST(ServeQueryEngineTest, KindRestrictionsAreStructuredErrors) {
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
   // ssc has no MOVD artifacts, so no query shape can run on it.
-  ServeRequest ssc;
-  ssc.dataset = "d";
-  ssc.kind = ServeQueryKind::kSkyline;
-  ssc.algorithm = MolqAlgorithm::kSsc;
-  EXPECT_EQ(engine.Solve(ssc).status, StatusCode::kInvalidArgument);
-  // Constrained clipping needs real regions; MBRB overlays carry none.
-  ServeRequest mbrb;
-  mbrb.dataset = "d";
-  mbrb.kind = ServeQueryKind::kConstrained;
-  mbrb.algorithm = MolqAlgorithm::kMbrb;
-  mbrb.constraint.boundary = Polygon({{10, 10}, {90, 10}, {90, 90}, {10, 90}});
-  EXPECT_EQ(engine.Solve(mbrb).status, StatusCode::kInvalidArgument);
+  for (const EngineOp& op :
+       {EngineOp(SkylineSpec{MolqAlgorithm::kSsc}),
+        EngineOp(DiverseSpec{MolqAlgorithm::kSsc, 1, 0.0}),
+        EngineOp(WhatIfSpec{MolqAlgorithm::kSsc, 1, {{1.0, 1.0}}})}) {
+    EXPECT_EQ(engine.Handle(ShapeRequest("d", op)).status,
+              StatusCode::kInvalidArgument);
+  }
+  // Constrained clipping needs real regions; MBRB overlays carry none, so
+  // the CONSTRAIN payload has no algorithm to set (the engine pins RRB).
+  static_assert(!HasAlgorithm<ConstrainSpec>);
   // A zero-area boundary fails constraint validation up front.
-  ServeRequest degenerate;
-  degenerate.dataset = "d";
-  degenerate.kind = ServeQueryKind::kConstrained;
+  ConstrainSpec degenerate;
   degenerate.constraint.boundary = Polygon({{10, 10}, {50, 50}, {90, 90}});
-  EXPECT_EQ(engine.Solve(degenerate).status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Handle(ShapeRequest("d", degenerate)).status,
+            StatusCode::kInvalidArgument);
   // A sweep vector with the wrong arity is rejected against the dataset.
-  ServeRequest bad_sweep;
-  bad_sweep.dataset = "d";
-  bad_sweep.kind = ServeQueryKind::kWhatIf;
-  bad_sweep.sweep = {{1.0, 1.0, 1.0}};
-  EXPECT_EQ(engine.Solve(bad_sweep).status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine
+                .Handle(ShapeRequest(
+                    "d", WhatIfSpec{MolqAlgorithm::kRrb, 1, {{1.0, 1.0, 1.0}}}))
+                .status,
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServeQueryEngineTest, ResponseJsonIsByteIdenticalWithAndWithoutTrace) {
   const MolqQuery query = TestQuery({10, 10}, 67);
-  for (const ServeQueryKind kind :
-       {ServeQueryKind::kSkyline, ServeQueryKind::kDiverse,
-        ServeQueryKind::kWhatIf}) {
+  for (const EngineOp& op :
+       {EngineOp(SkylineSpec{}),
+        EngineOp(DiverseSpec{MolqAlgorithm::kRrb, 3, 10.0}),
+        EngineOp(WhatIfSpec{MolqAlgorithm::kRrb, 2,
+                            {{1.0, 1.0}, {0.5, 2.0}}})}) {
     QueryEngine plain_engine;
     plain_engine.RegisterDataset("d", query, kBounds);
-    ServeRequest request;
-    request.dataset = "d";
-    request.kind = kind;
-    if (kind == ServeQueryKind::kDiverse) {
-      request.topk = 3;
-      request.min_distance = 10.0;
-    }
-    if (kind == ServeQueryKind::kWhatIf) {
-      request.topk = 2;
-      request.sweep = {{1.0, 1.0}, {0.5, 2.0}};
-    }
-    const ServeResponse plain = plain_engine.Solve(request);
+    const EngineRequest request = ShapeRequest("d", op);
+    const ServeResponse plain = plain_engine.Handle(request);
     ASSERT_EQ(plain.status, StatusCode::kOk) << plain.error;
 
     QueryEngine traced_engine;
     traced_engine.RegisterDataset("d", query, kBounds);
     Trace trace;
-    ServeRequest traced_request = request;
+    EngineRequest traced_request = request;
     traced_request.exec.trace = &trace;
-    const ServeResponse traced = traced_engine.Solve(traced_request);
+    const ServeResponse traced = traced_engine.Handle(traced_request);
     ASSERT_EQ(traced.status, StatusCode::kOk) << traced.error;
     EXPECT_EQ(ResponseJson(query, plain, /*include_timing=*/false),
               ResponseJson(query, traced, /*include_timing=*/false));

@@ -10,9 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -32,6 +35,14 @@ namespace movd {
 namespace {
 
 constexpr Rect kBounds(0, 0, 100, 100);
+
+/// A SOLVE request against `dataset`.
+EngineRequest SolveRequest(const std::string& dataset, SolveSpec spec = {}) {
+  EngineRequest request;
+  request.dataset = dataset;
+  request.op = spec;
+  return request;
+}
 
 // A small immutable artifact for cache tests; same seed → same bytes.
 std::shared_ptr<const Movd> MakeArtifact(size_t sites, uint64_t seed) {
@@ -265,8 +276,8 @@ TEST(ServeMetricsTest, StatusNames) {
 
 TEST(ServeProtocolTest, ParsesFullSolveLine) {
   ServeVerb verb;
-  ServeRequest request;
-  const Status parsed = ParseRequestLine(
+  EngineRequest request;
+  const Status parsed = ParseRequest(
       "SOLVE id=q7 dataset=city layers=2,0 algo=mbrb k=3 epsilon=0.01 "
       "deadline_ms=250 threads=4 cache=0",
       &verb, &request);
@@ -277,8 +288,9 @@ TEST(ServeProtocolTest, ParsesFullSolveLine) {
   ASSERT_EQ(request.layers.size(), 2u);
   EXPECT_EQ(request.layers[0], 2);
   EXPECT_EQ(request.layers[1], 0);
-  EXPECT_EQ(request.algorithm, MolqAlgorithm::kMbrb);
-  EXPECT_EQ(request.topk, 3u);
+  const SolveSpec& spec = std::get<SolveSpec>(request.op);
+  EXPECT_EQ(spec.algorithm, MolqAlgorithm::kMbrb);
+  EXPECT_EQ(spec.topk, 3u);
   EXPECT_DOUBLE_EQ(request.epsilon, 0.01);
   EXPECT_DOUBLE_EQ(request.deadline_ms, 250.0);
   EXPECT_EQ(request.exec.threads, 4);
@@ -287,14 +299,14 @@ TEST(ServeProtocolTest, ParsesFullSolveLine) {
 
 TEST(ServeProtocolTest, SolveDefaultsAndRequiredDataset) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("SOLVE dataset=d", &verb, &request).ok());
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("SOLVE dataset=d", &verb, &request).ok());
   EXPECT_EQ(request.id, "-");
   EXPECT_TRUE(request.layers.empty());
-  EXPECT_EQ(request.algorithm, MolqAlgorithm::kRrb);
-  EXPECT_EQ(request.topk, 1u);
+  EXPECT_EQ(std::get<SolveSpec>(request.op).algorithm, MolqAlgorithm::kRrb);
+  EXPECT_EQ(std::get<SolveSpec>(request.op).topk, 1u);
   EXPECT_TRUE(request.use_cache);
-  const Status missing = ParseRequestLine("SOLVE id=x k=2", &verb, &request);
+  const Status missing = ParseRequest("SOLVE id=x k=2", &verb, &request);
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(missing.message().find("dataset"), std::string::npos);
@@ -302,24 +314,43 @@ TEST(ServeProtocolTest, SolveDefaultsAndRequiredDataset) {
 
 TEST(ServeProtocolTest, RejectsUnknownAndMalformedArguments) {
   ServeVerb verb;
-  ServeRequest request;
+  EngineRequest request;
   // A misspelled key must fail loudly, not fall back to a default.
   const Status misspelled =
-      ParseRequestLine("SOLVE dataset=d epsilonn=0.1", &verb, &request);
+      ParseRequest("SOLVE dataset=d epsilonn=0.1", &verb, &request);
   EXPECT_FALSE(misspelled.ok());
   EXPECT_NE(misspelled.message().find("epsilonn"), std::string::npos);
-  EXPECT_FALSE(ParseRequestLine("SOLVE dataset=d k=0", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("SOLVE dataset=d k=0", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("SOLVE dataset=d epsilon=0", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d epsilon=0", &verb, &request).ok());
-  EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d layers=1,x", &verb, &request).ok());
-  EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d algo=fast", &verb, &request).ok());
-  EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d cache=yes", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("EXPLODE now", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("PING extra", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d layers=1,x", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("SOLVE dataset=d algo=fast", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("SOLVE dataset=d cache=yes", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("EXPLODE now", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("PING extra", &verb, &request).ok());
+  // Integers beyond the range of the field they set are rejected, naming
+  // the key, instead of being narrowed (2^32 would wrap to layer 0).
+  for (const auto& [line, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"SOLVE dataset=d layers=4294967296,1", "layers"},
+           {"SOLVE dataset=d layers=-2147483649", "layers"},
+           {"SOLVE dataset=d threads=4294967297", "threads"},
+           {"INSERT dataset=d layer=4294967296 x=1 y=2", "layer"},
+           {"DELETE dataset=d layer=2147483648 x=1 y=2", "layer"}}) {
+    const Status status = ParseRequest(line, &verb, &request);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(status.message().find(key), std::string::npos)
+        << line << ": " << status.message();
+  }
+  // The largest in-range values still parse.
+  ASSERT_TRUE(ParseRequest("SOLVE dataset=d layers=2147483647,-2147483648 "
+                           "threads=2147483647",
+                           &verb, &request)
+                  .ok());
+  EXPECT_EQ(request.layers,
+            (std::vector<int32_t>{2147483647, -2147483647 - 1}));
+  EXPECT_EQ(request.exec.threads, 2147483647);
 }
 
 TEST(ServeProtocolTest, RectIsAnUnknownArgument) {
@@ -340,64 +371,127 @@ TEST(ServeProtocolTest, RectIsAnUnknownArgument) {
   EXPECT_EQ(kServeProtocolVersion, 3);
 }
 
+/// Field-by-field equality of two payloads of the same verb (doubles
+/// compared bit-exactly: FormatRequestLine prints them with %.17g).
+void ExpectSameOp(const EngineOp& want, const EngineOp& got) {
+  ASSERT_EQ(want.index(), got.index());
+  std::visit(
+      [&got](const auto& w) {
+        using Spec = std::decay_t<decltype(w)>;
+        const Spec& g = std::get<Spec>(got);
+        if constexpr (requires { w.algorithm; }) {
+          EXPECT_EQ(w.algorithm, g.algorithm);
+        }
+        if constexpr (requires { w.topk; }) {
+          EXPECT_EQ(w.topk, g.topk);
+        }
+        if constexpr (requires { w.min_distance; }) {
+          EXPECT_EQ(w.min_distance, g.min_distance);
+        }
+        if constexpr (requires { w.sweep; }) {
+          EXPECT_EQ(w.sweep, g.sweep);
+        }
+        if constexpr (requires { w.constraint; }) {
+          EXPECT_EQ(w.constraint.boundary.vertices(),
+                    g.constraint.boundary.vertices());
+          ASSERT_EQ(w.constraint.exclusions.size(),
+                    g.constraint.exclusions.size());
+          for (size_t i = 0; i < w.constraint.exclusions.size(); ++i) {
+            EXPECT_EQ(w.constraint.exclusions[i].vertices(),
+                      g.constraint.exclusions[i].vertices());
+          }
+        }
+        if constexpr (std::is_same_v<Spec, SiteMutation>) {
+          EXPECT_EQ(w.kind, g.kind);
+          EXPECT_EQ(w.layer, g.layer);
+          EXPECT_EQ(w.location.x, g.location.x);
+          EXPECT_EQ(w.location.y, g.location.y);
+        }
+      },
+      want);
+}
+
 TEST(ServeProtocolTest, FormatRequestLineRoundTrips) {
-  EngineRequest request;
-  request.id = "rt";
-  request.dataset = "ds";
-  request.layers = {0, 2};
-  request.epsilon = 1e-4;
-  request.exec.threads = 3;
-  request.use_cache = false;
-  request.deadline_ms = 250.0;
-  request.op = DiverseSpec{MolqAlgorithm::kMbrb, 5, 12.5};
+  // One fully populated request per verb, with values a sloppy formatter
+  // would not reproduce exactly (1/3, 2/7, non-default envelope fields).
+  EngineRequest query;
+  query.id = "rt";
+  query.dataset = "ds";
+  query.layers = {0, 2};
+  query.epsilon = 1e-4;
+  query.exec.threads = 3;
+  query.use_cache = false;
+  query.deadline_ms = 250.0;
+  // Mutations accept only id/dataset in the envelope.
+  EngineRequest mutation;
+  mutation.id = "m";
+  mutation.dataset = "ds";
+  const auto with = [](EngineRequest request, EngineOp op) {
+    request.op = std::move(op);
+    return request;
+  };
+  ConstrainSpec constrain;
+  constrain.constraint.boundary =
+      Polygon({{1.0 / 3.0, 1.0}, {90, 2.0 / 7.0}, {90, 90}, {10, 90}});
+  constrain.constraint.exclusions = {
+      Polygon({{20, 20}, {40, 20}, {40, 40.5}}),
+      Polygon({{60, 60}, {80, 60}, {80, 80}, {60, 1e-9 + 80}})};
+  const std::map<std::string, EngineRequest> cases = {
+      {"SOLVE", with(query, SolveSpec{MolqAlgorithm::kMbrb, 4})},
+      {"SKYLINE", with(query, SkylineSpec{MolqAlgorithm::kMbrb})},
+      {"DIVERSE", with(query, DiverseSpec{MolqAlgorithm::kMbrb, 5, 12.5})},
+      {"CONSTRAIN", with(query, constrain)},
+      {"WHATIF", with(query, WhatIfSpec{MolqAlgorithm::kRrb, 2,
+                                        {{1.0 / 3.0, 2.5}, {0.1, 7.0}}})},
+      {"INSERT", with(mutation, SiteMutation{MutationKind::kInsert, 1,
+                                             {1.0 / 3.0, 2.0 / 7.0}})},
+      {"DELETE", with(mutation, SiteMutation{MutationKind::kDelete, 2,
+                                             {2.0 / 3.0, 1e-300}})},
+  };
 
-  ServeVerb verb = ServeVerb::kPing;
-  EngineRequest parsed;
-  ASSERT_TRUE(
-      ParseRequest(FormatRequestLine(request), &verb, &parsed).ok());
-  EXPECT_EQ(verb, ServeVerb::kSolve);
-  EXPECT_EQ(parsed.id, request.id);
-  EXPECT_EQ(parsed.dataset, request.dataset);
-  EXPECT_EQ(parsed.layers, request.layers);
-  EXPECT_EQ(parsed.epsilon, request.epsilon);
-  EXPECT_EQ(parsed.exec.threads, request.exec.threads);
-  EXPECT_EQ(parsed.use_cache, request.use_cache);
-  EXPECT_EQ(parsed.deadline_ms, request.deadline_ms);
-  const DiverseSpec& spec = std::get<DiverseSpec>(parsed.op);
-  EXPECT_EQ(spec.algorithm, MolqAlgorithm::kMbrb);
-  EXPECT_EQ(spec.topk, 5u);
-  EXPECT_EQ(spec.min_distance, 12.5);
+  // Every non-control registry row must have a case: a verb added to the
+  // registry without one fails here.
+  size_t verbs = 0;
+  for (const VerbDescriptor& d : VerbRegistry()) {
+    if ((d.caps & kCapControl) != 0) continue;
+    ++verbs;
+    SCOPED_TRACE(d.name);
+    const auto it = cases.find(d.name);
+    ASSERT_NE(it, cases.end()) << "no round-trip case for verb " << d.name;
+    const EngineRequest& request = it->second;
+    const std::string line = FormatRequestLine(request);
+    EXPECT_EQ(line.rfind(std::string(d.name) + " ", 0), 0u) << line;
 
-  // Mutations round-trip with full coordinate precision.
-  SiteMutation mutation;
-  mutation.kind = MutationKind::kDelete;
-  mutation.layer = 2;
-  mutation.location = Point{1.0 / 3.0, 2.0 / 7.0};
-  EngineRequest mutate;
-  mutate.id = "m";
-  mutate.dataset = "ds";
-  mutate.op = mutation;
-  ASSERT_TRUE(
-      ParseRequest(FormatRequestLine(mutate), &verb, &parsed).ok());
-  const SiteMutation& back = std::get<SiteMutation>(parsed.op);
-  EXPECT_EQ(back.kind, MutationKind::kDelete);
-  EXPECT_EQ(back.layer, 2);
-  EXPECT_EQ(back.location.x, mutation.location.x);  // bit-exact
-  EXPECT_EQ(back.location.y, mutation.location.y);
+    ServeVerb verb = ServeVerb::kPing;
+    EngineRequest parsed;
+    const Status status = ParseRequest(line, &verb, &parsed);
+    ASSERT_TRUE(status.ok()) << line << ": " << status.ToString();
+    EXPECT_EQ(verb, ServeVerb::kSolve);
+    EXPECT_EQ(parsed.id, request.id);
+    EXPECT_EQ(parsed.dataset, request.dataset);
+    EXPECT_EQ(parsed.layers, request.layers);
+    EXPECT_EQ(parsed.epsilon, request.epsilon);
+    EXPECT_EQ(parsed.exec.threads, request.exec.threads);
+    EXPECT_EQ(parsed.use_cache, request.use_cache);
+    EXPECT_EQ(parsed.deadline_ms, request.deadline_ms);
+    EXPECT_EQ(parsed.cost_units, d.cost_units);
+    ExpectSameOp(request.op, parsed.op);
+  }
+  EXPECT_EQ(verbs, cases.size());
 }
 
 TEST(ServeProtocolTest, VerbsAreCaseInsensitive) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("ping", &verb, &request).ok());
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("ping", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kPing);
-  ASSERT_TRUE(ParseRequestLine("Stats", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("Stats", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kStats);
-  ASSERT_TRUE(ParseRequestLine("quit", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("quit", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kQuit);
-  ASSERT_TRUE(ParseRequestLine("shutdown", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("shutdown", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kShutdown);
-  ASSERT_TRUE(ParseRequestLine("solve dataset=d", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("solve dataset=d", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kSolve);
 }
 
@@ -437,10 +531,9 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
   QueryEngine engine;
   engine.RegisterDataset("city", query, world);
 
-  ServeRequest request;
-  request.dataset = "city";
+  EngineRequest request = SolveRequest("city");
   request.epsilon = 1e-4;
-  const ServeResponse cold = engine.Solve(request);
+  const ServeResponse cold = engine.Handle(request);
   ASSERT_EQ(cold.status, StatusCode::kOk);
   EXPECT_FALSE(cold.cache_hit);
   ASSERT_EQ(cold.answers.size(), 1u);
@@ -455,7 +548,7 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
   EXPECT_EQ(cold.answers[0].cost, direct.cost);
 
   // Second request is served from cache and stays bit-identical.
-  const ServeResponse warm = engine.Solve(request);
+  const ServeResponse warm = engine.Handle(request);
   ASSERT_EQ(warm.status, StatusCode::kOk);
   EXPECT_TRUE(warm.cache_hit);
   ExpectAnswersEqual(cold.answers, warm.answers);
@@ -467,14 +560,13 @@ TEST(ServeEngineTest, AnswersIdenticalAcrossThreadCountsAndCacheState) {
   const MolqQuery query = TestQuery({25, 25}, 7);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   std::vector<ServeAnswer> reference;
   for (const int threads : {1, 2, 4}) {
     for (const bool use_cache : {true, false}) {
       request.exec.threads = threads;
       request.use_cache = use_cache;
-      const ServeResponse resp = engine.Solve(request);
+      const ServeResponse resp = engine.Handle(request);
       ASSERT_EQ(resp.status, StatusCode::kOk);
       if (reference.empty()) {
         reference = resp.answers;
@@ -489,10 +581,9 @@ TEST(ServeEngineTest, LayerSubsetMatchesDirectSubQuery) {
   const MolqQuery query = TestQuery({20, 20, 20}, 13);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   request.layers = {2, 0};  // order and duplicates are normalized
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, StatusCode::kOk);
   ASSERT_EQ(resp.answers.size(), 1u);
 
@@ -514,18 +605,17 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
   const MolqQuery query = TestQuery({12, 12, 12}, 19);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   request.layers = {1, 2};
-  request.algorithm = MolqAlgorithm::kSsc;
-  const ServeResponse ssc = engine.Solve(request);
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
+  const ServeResponse ssc = engine.Handle(request);
   ASSERT_EQ(ssc.status, StatusCode::kOk);
   ASSERT_EQ(ssc.answers.size(), 1u);
   for (const PoiRef& poi : ssc.answers[0].group) {
     EXPECT_TRUE(poi.set == 1 || poi.set == 2) << poi.set;
   }
-  request.algorithm = MolqAlgorithm::kRrb;
-  const ServeResponse rrb = engine.Solve(request);
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
+  const ServeResponse rrb = engine.Handle(request);
   ASSERT_EQ(rrb.status, StatusCode::kOk);
   // SSC is exact; RRB is epsilon-approximate. Same combination, near cost.
   ASSERT_EQ(ssc.answers[0].group.size(), rrb.answers[0].group.size());
@@ -533,19 +623,16 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
               1e-2 * ssc.answers[0].cost + 1e-6);
 
   // SSC serves k=1 only.
-  request.algorithm = MolqAlgorithm::kSsc;
-  request.topk = 2;
-  EXPECT_EQ(engine.Solve(request).status, StatusCode::kInvalidArgument);
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 2};
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
 }
 
 TEST(ServeEngineTest, TopKMatchesDirectRanking) {
   const MolqQuery query = TestQuery({20, 20}, 23);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  request.topk = 3;
-  const ServeResponse resp = engine.Solve(request);
+  EngineRequest request = SolveRequest("d", {MolqAlgorithm::kRrb, 3});
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, StatusCode::kOk);
   ASSERT_EQ(resp.answers.size(), 3u);
   EXPECT_LE(resp.answers[0].cost, resp.answers[1].cost);
@@ -565,25 +652,24 @@ TEST(ServeEngineTest, TopKMatchesDirectRanking) {
 TEST(ServeEngineTest, InvalidRequestsAreStructuredErrors) {
   QueryEngine engine;
   engine.RegisterDataset("d", TestQuery({5, 5}, 3), kBounds);
-  ServeRequest request;
-  request.dataset = "nope";
-  ServeResponse resp = engine.Solve(request);
+  EngineRequest request = SolveRequest("nope");
+  ServeResponse resp = engine.Handle(request);
   EXPECT_EQ(resp.status, StatusCode::kInvalidArgument);
   EXPECT_NE(resp.error.find("unknown dataset"), std::string::npos);
   EXPECT_TRUE(resp.answers.empty());
 
   request.dataset = "d";
   request.layers = {0, 5};
-  resp = engine.Solve(request);
+  resp = engine.Handle(request);
   EXPECT_EQ(resp.status, StatusCode::kInvalidArgument);
   EXPECT_NE(resp.error.find("out of range"), std::string::npos);
 
   request.layers.clear();
-  request.topk = 0;
-  EXPECT_EQ(engine.Solve(request).status, StatusCode::kInvalidArgument);
-  request.topk = 1;
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 0};
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
   request.epsilon = 0.0;
-  EXPECT_EQ(engine.Solve(request).status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.metrics().invalid(), 4u);
   EXPECT_EQ(engine.metrics().ok(), 0u);
 }
@@ -593,11 +679,10 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   const MolqQuery query = TestQuery({80, 80, 80}, 31);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   request.epsilon = 1e-4;
   request.deadline_ms = 0.001;
-  const ServeResponse timed_out = engine.Solve(request);
+  const ServeResponse timed_out = engine.Handle(request);
   EXPECT_EQ(timed_out.status, StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(timed_out.answers.empty());
   EXPECT_FALSE(timed_out.error.empty());
@@ -606,7 +691,7 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   // The aborted build poisoned nothing: the same request without a
   // deadline matches the cold pipeline exactly.
   request.deadline_ms = 0.0;
-  const ServeResponse full = engine.Solve(request);
+  const ServeResponse full = engine.Handle(request);
   ASSERT_EQ(full.status, StatusCode::kOk);
   MolqOptions opts;
   opts.algorithm = MolqAlgorithm::kRrb;
@@ -624,13 +709,12 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   engine.RegisterDataset("d", query, kBounds);
 
   // Reference answers for three distinct request shapes, solved serially.
-  std::vector<ServeRequest> shapes(3);
-  for (auto& s : shapes) s.dataset = "d";
+  std::vector<EngineRequest> shapes(3, SolveRequest("d"));
   shapes[1].layers = {0, 1};
-  shapes[2].algorithm = MolqAlgorithm::kMbrb;
+  shapes[2].op = SolveSpec{MolqAlgorithm::kMbrb, 1};
   std::vector<ServeResponse> reference;
   for (const auto& s : shapes) {
-    reference.push_back(engine.Solve(s));
+    reference.push_back(engine.Handle(s));
     ASSERT_EQ(reference.back().status, StatusCode::kOk);
   }
 
@@ -639,9 +723,9 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (size_t s = 0; s < shapes.size(); ++s) {
-      ServeRequest request = shapes[s];
+      EngineRequest request = shapes[s];
       request.id = std::to_string(round) + ":" + std::to_string(s);
-      futures.push_back(engine.SubmitAsync(std::move(request)));
+      futures.push_back(engine.HandleAsync(std::move(request)));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -659,10 +743,9 @@ TEST(ServeEngineTest, CacheDisabledEngineStaysCorrect) {
   options.cache_bytes = 0;
   QueryEngine engine(options);
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
-  request.dataset = "d";
-  const ServeResponse first = engine.Solve(request);
-  const ServeResponse second = engine.Solve(request);
+  EngineRequest request = SolveRequest("d");
+  const ServeResponse first = engine.Handle(request);
+  const ServeResponse second = engine.Handle(request);
   ASSERT_EQ(first.status, StatusCode::kOk);
   ASSERT_EQ(second.status, StatusCode::kOk);
   EXPECT_FALSE(first.cache_hit);
@@ -674,13 +757,12 @@ TEST(ServeEngineTest, CacheDisabledEngineStaysCorrect) {
 TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   const MolqQuery query = TestQuery({20, 20}, 61);
   const std::string dir = Tmp("warm");
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   ServeResponse cold;
   {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
-    cold = engine.Solve(request);
+    cold = engine.Handle(request);
     ASSERT_EQ(cold.status, StatusCode::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
@@ -691,7 +773,7 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   EXPECT_TRUE(load.status.ok()) << load.status.ToString();
   EXPECT_GE(load.loaded, 3u);  // two basics + one overlay
   EXPECT_EQ(load.failed, 0u);
-  const ServeResponse warm = warm_engine.Solve(request);
+  const ServeResponse warm = warm_engine.Handle(request);
   ASSERT_EQ(warm.status, StatusCode::kOk);
   // The very first request after a warm start hits the persisted overlay.
   EXPECT_TRUE(warm.cache_hit);
@@ -701,13 +783,12 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
 TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   const MolqQuery query = TestQuery({15, 15}, 67);
   const std::string dir = Tmp("corrupt");
-  ServeRequest request;
-  request.dataset = "d";
+  EngineRequest request = SolveRequest("d");
   ServeResponse cold;
   {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
-    cold = engine.Solve(request);
+    cold = engine.Handle(request);
     ASSERT_EQ(cold.status, StatusCode::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
@@ -728,7 +809,7 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   EXPECT_EQ(load.failed, 1u);
   EXPECT_GE(load.loaded, 2u);
   // The engine still answers correctly, rebuilding what was damaged.
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, StatusCode::kOk);
   ExpectAnswersEqual(cold.answers, resp.answers);
 }

@@ -13,6 +13,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,15 +67,22 @@ void ApplyToQuery(MolqQuery* query, const SiteMutation& mut) {
   FAIL() << "ApplyToQuery: deleting an absent object";
 }
 
-ServeRequest MutationRequest(const std::string& dataset, MutationKind kind,
-                             int32_t layer, Point location) {
-  ServeRequest req;
+EngineRequest MutationRequest(const std::string& dataset, MutationKind kind,
+                              int32_t layer, Point location) {
+  EngineRequest req;
   req.dataset = dataset;
-  req.mutate = true;
-  req.mutation.kind = kind;
-  req.mutation.layer = layer;
-  req.mutation.location = location;
+  req.op = SiteMutation{kind, layer, location};
   req.cost_units = 4;
+  return req;
+}
+
+/// A SOLVE request against `dataset` over `layers` (empty = all).
+EngineRequest SolveRequest(const std::string& dataset,
+                           std::vector<int32_t> layers = {}) {
+  EngineRequest req;
+  req.dataset = dataset;
+  req.layers = std::move(layers);
+  req.op = SolveSpec{};
   return req;
 }
 
@@ -88,56 +97,56 @@ std::string AnswerBytes(const ServeResponse& resp) {
 
 TEST(ServeUpdateProtocolTest, ParsesInsertAndDeleteLines) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("INSERT id=m1 dataset=d layer=1 x=10.5 y=2.25",
-                               &verb, &request)
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("INSERT id=m1 dataset=d layer=1 x=10.5 y=2.25",
+                           &verb, &request)
                   .ok());
   EXPECT_EQ(verb, ServeVerb::kSolve);
-  EXPECT_TRUE(request.mutate);
-  EXPECT_EQ(request.mutation.kind, MutationKind::kInsert);
-  EXPECT_EQ(request.mutation.layer, 1);
-  EXPECT_EQ(request.mutation.location.x, 10.5);
-  EXPECT_EQ(request.mutation.location.y, 2.25);
+  ASSERT_TRUE(std::holds_alternative<SiteMutation>(request.op));
+  const SiteMutation& insert = std::get<SiteMutation>(request.op);
+  EXPECT_EQ(insert.kind, MutationKind::kInsert);
+  EXPECT_EQ(insert.layer, 1);
+  EXPECT_EQ(insert.location.x, 10.5);
+  EXPECT_EQ(insert.location.y, 2.25);
   EXPECT_EQ(request.cost_units, FindVerb("INSERT")->cost_units);
 
-  ASSERT_TRUE(ParseRequestLine("delete dataset=d layer=0 x=3 y=4", &verb,
-                               &request)
-                  .ok());
-  EXPECT_TRUE(request.mutate);
-  EXPECT_EQ(request.mutation.kind, MutationKind::kDelete);
+  ASSERT_TRUE(
+      ParseRequest("delete dataset=d layer=0 x=3 y=4", &verb, &request).ok());
+  ASSERT_TRUE(std::holds_alternative<SiteMutation>(request.op));
+  EXPECT_EQ(std::get<SiteMutation>(request.op).kind, MutationKind::kDelete);
 }
 
 TEST(ServeUpdateProtocolTest, RejectsMalformedMutationLines) {
   ServeVerb verb;
-  ServeRequest request;
+  EngineRequest request;
   // layer/x/y are all required.
   EXPECT_FALSE(
-      ParseRequestLine("INSERT dataset=d layer=0 x=1", &verb, &request).ok());
+      ParseRequest("INSERT dataset=d layer=0 x=1", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("INSERT dataset=d x=1 y=2", &verb, &request).ok());
+      ParseRequest("INSERT dataset=d x=1 y=2", &verb, &request).ok());
   // Query vocabulary does not apply to mutations.
-  EXPECT_FALSE(ParseRequestLine("INSERT dataset=d layer=0 x=1 y=2 layers=0",
+  EXPECT_FALSE(ParseRequest("INSERT dataset=d layer=0 x=1 y=2 layers=0",
                                 &verb, &request)
                    .ok());
-  EXPECT_FALSE(ParseRequestLine("DELETE dataset=d layer=0 x=1 y=2 k=2", &verb,
+  EXPECT_FALSE(ParseRequest("DELETE dataset=d layer=0 x=1 y=2 k=2", &verb,
                                 &request)
                    .ok());
   // Layer indices are non-negative; coordinates must be finite.
-  EXPECT_FALSE(ParseRequestLine("DELETE dataset=d layer=-1 x=1 y=2", &verb,
+  EXPECT_FALSE(ParseRequest("DELETE dataset=d layer=-1 x=1 y=2", &verb,
                                 &request)
                    .ok());
-  EXPECT_FALSE(ParseRequestLine("INSERT dataset=d layer=0 x=nan y=2", &verb,
+  EXPECT_FALSE(ParseRequest("INSERT dataset=d layer=0 x=nan y=2", &verb,
                                 &request)
                    .ok());
   // Mutation vocabulary does not leak into queries either.
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d layer=0", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d layer=0", &verb, &request).ok());
 }
 
 TEST(ServeUpdateProtocolTest, UnknownVerbIsUnsupportedNotInvalid) {
   ServeVerb verb;
-  ServeRequest request;
-  const Status status = ParseRequestLine("FROBNICATE dataset=d", &verb,
+  EngineRequest request;
+  const Status status = ParseRequest("FROBNICATE dataset=d", &verb,
                                          &request);
   EXPECT_EQ(status.code(), StatusCode::kUnsupportedVerb);
   // The error names the protocol version and points at HELP.
@@ -162,9 +171,9 @@ TEST(ServeUpdateProtocolTest, RegistryDrivesParsingAndHelp) {
   EXPECT_GT(FindVerb("INSERT")->cost_units, FindVerb("SOLVE")->cost_units);
   // Control verbs take no arguments.
   ServeVerb verb;
-  ServeRequest request;
-  EXPECT_FALSE(ParseRequestLine("PING x=1", &verb, &request).ok());
-  ASSERT_TRUE(ParseRequestLine("HELP", &verb, &request).ok());
+  EngineRequest request;
+  EXPECT_FALSE(ParseRequest("PING x=1", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("HELP", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kHelp);
 }
 
@@ -176,14 +185,13 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
 
-  ServeRequest solve;
-  solve.dataset = "d";
-  const ServeResponse before = engine.Solve(solve);
+  const EngineRequest solve = SolveRequest("d");
+  const ServeResponse before = engine.Handle(solve);
   ASSERT_EQ(before.status, StatusCode::kOk) << before.error;
   EXPECT_EQ(before.version, 1u);
 
   const SiteMutation mut{MutationKind::kInsert, 1, {37.5, 61.25}};
-  const ServeResponse applied = engine.Solve(
+  const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
   ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
   EXPECT_TRUE(applied.is_mutation);
@@ -192,7 +200,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   EXPECT_GT(applied.mutation.recomputed_cells, 0u);
   ApplyToQuery(&query, mut);
 
-  const ServeResponse after = engine.Solve(solve);
+  const ServeResponse after = engine.Handle(solve);
   ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
 
@@ -200,7 +208,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   // built directly on the mutated dataset.
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
-  const ServeResponse rebuilt = cold.Solve(solve);
+  const ServeResponse rebuilt = cold.Handle(solve);
   ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
   EXPECT_EQ(engine.metrics().mutations(), 1u);
@@ -212,21 +220,20 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   engine.RegisterDataset("d", query, kBounds);
 
   // Warm the all-layer overlay so the mutation has artifacts to patch.
-  ServeRequest solve;
-  solve.dataset = "d";
-  ASSERT_EQ(engine.Solve(solve).status, StatusCode::kOk);
-  ASSERT_TRUE(engine.Solve(solve).cache_hit);
+  const EngineRequest solve = SolveRequest("d");
+  ASSERT_EQ(engine.Handle(solve).status, StatusCode::kOk);
+  ASSERT_TRUE(engine.Handle(solve).cache_hit);
 
   const SiteMutation mut{MutationKind::kDelete, 0,
                          query.sets[0].objects[5].location};
-  const ServeResponse applied = engine.Solve(
+  const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
   ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
   EXPECT_GT(applied.mutation.patched_artifacts, 0u);
   ApplyToQuery(&query, mut);
 
   // The patched overlay serves the new version straight from cache...
-  const ServeResponse after = engine.Solve(solve);
+  const ServeResponse after = engine.Handle(solve);
   ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
   EXPECT_TRUE(after.cache_hit);
@@ -234,7 +241,7 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   // ...with bytes identical to a cold rebuild of the mutated dataset.
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
-  const ServeResponse rebuilt = cold.Solve(solve);
+  const ServeResponse rebuilt = cold.Handle(solve);
   ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
 }
@@ -271,9 +278,8 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
     options.exec.audit = true;
     QueryEngine engine(options);
     engine.RegisterDataset("d", query, kBounds);
-    ServeRequest solve;
-    solve.dataset = "d";
-    ASSERT_EQ(engine.Solve(solve).status, StatusCode::kOk);
+    const EngineRequest solve = SolveRequest("d");
+    ASSERT_EQ(engine.Handle(solve).status, StatusCode::kOk);
 
     Rng rng(404);
     size_t fallbacks = 0;
@@ -293,7 +299,7 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
         mut.kind = MutationKind::kInsert;
         mut.location = {rng.Uniform(6, 94), rng.Uniform(6, 94)};
       }
-      const ServeResponse applied = engine.Solve(
+      const ServeResponse applied = engine.Handle(
           MutationRequest("d", mut.kind, mut.layer, mut.location));
       ASSERT_EQ(applied.status, StatusCode::kOk)
           << "step " << step << ": " << applied.error;
@@ -302,11 +308,11 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
       fallbacks += applied.mutation.full_rebuild ? 1 : 0;
     }
 
-    const ServeResponse after = engine.Solve(solve);
+    const ServeResponse after = engine.Handle(solve);
     ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
     QueryEngine cold;
     cold.RegisterDataset("d", query, kBounds);
-    const ServeResponse rebuilt = cold.Solve(solve);
+    const ServeResponse rebuilt = cold.Handle(solve);
     ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
     EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
     // The grid input must reach the fallback, or it tests nothing new.
@@ -325,32 +331,32 @@ TEST(ServeUpdateEngineTest, MutationErrorsAreStructured) {
 
   // Unknown dataset.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("nope", MutationKind::kInsert, 0,
-                                       {10, 10}))
+                .Handle(MutationRequest("nope", MutationKind::kInsert, 0,
+                                        {10, 10}))
                 .status,
             StatusCode::kNotFound);
   // Layer out of range.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 7,
-                                       {10, 10}))
+                .Handle(MutationRequest("d", MutationKind::kInsert, 7,
+                                        {10, 10}))
                 .status,
             StatusCode::kInvalidArgument);
   // Insert outside the world rectangle.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 0,
-                                       {500, 10}))
+                .Handle(MutationRequest("d", MutationKind::kInsert, 0,
+                                        {500, 10}))
                 .status,
             StatusCode::kInvalidArgument);
   // Deleting an absent object.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kDelete, 0,
-                                       {1.5, 1.5}))
+                .Handle(MutationRequest("d", MutationKind::kDelete, 0,
+                                        {1.5, 1.5}))
                 .status,
             StatusCode::kNotFound);
   // Deleting a layer's last object would leave the dataset unservable.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kDelete, 1,
-                                       query.sets[1].objects[0].location))
+                .Handle(MutationRequest("d", MutationKind::kDelete, 1,
+                                        query.sets[1].objects[0].location))
                 .status,
             StatusCode::kInvalidArgument);
   // None of the failures published a version.
@@ -369,8 +375,8 @@ TEST(ServeUpdateEngineTest, SnapshotsPinAndReRegistrationAdvancesVersions) {
   const size_t objects_before = pinned->query.sets[0].objects.size();
 
   ASSERT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 0,
-                                       {50.5, 50.5}))
+                .Handle(MutationRequest("d", MutationKind::kInsert, 0,
+                                        {50.5, 50.5}))
                 .status,
             StatusCode::kOk);
   // The pinned snapshot is immutable: the mutation published a new one.
@@ -402,11 +408,9 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
   std::vector<std::thread> queriers;
   for (size_t t = 0; t < patterns.size(); ++t) {
     queriers.emplace_back([&, t]() {
-      ServeRequest req;
-      req.dataset = "d";
-      req.layers = patterns[t];
+      const EngineRequest req = SolveRequest("d", patterns[t]);
       while (!done.load(std::memory_order_relaxed)) {
-        const ServeResponse resp = engine.Solve(req);
+        const ServeResponse resp = engine.Handle(req);
         if (resp.status != StatusCode::kOk) {
           failures.fetch_add(1);
           continue;
@@ -441,7 +445,7 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
       mut.kind = MutationKind::kInsert;
       mut.location = {rng.Uniform(6, 94), rng.Uniform(6, 94)};
     }
-    const ServeResponse applied = engine.Solve(
+    const ServeResponse applied = engine.Handle(
         MutationRequest("d", mut.kind, mut.layer, mut.location));
     ASSERT_EQ(applied.status, StatusCode::kOk)
         << "mutation " << i << ": " << applied.error;
@@ -460,11 +464,9 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
   for (size_t t = 0; t < patterns.size(); ++t) {
-    ServeRequest req;
-    req.dataset = "d";
-    req.layers = patterns[t];
-    const ServeResponse live = engine.Solve(req);
-    const ServeResponse rebuilt = cold.Solve(req);
+    const EngineRequest req = SolveRequest("d", patterns[t]);
+    const ServeResponse live = engine.Handle(req);
+    const ServeResponse rebuilt = cold.Handle(req);
     ASSERT_EQ(live.status, StatusCode::kOk) << live.error;
     ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
     EXPECT_EQ(live.version, static_cast<uint64_t>(kMutations) + 1);
@@ -486,10 +488,9 @@ TEST(ServeUpdateAdmissionTest, QueueCostLimitShedsWithStructuredOverload) {
   // couple of cost units, so most of the burst must shed immediately.
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 32; ++i) {
-    ServeRequest req;
-    req.dataset = "d";
+    EngineRequest req = SolveRequest("d");
     req.use_cache = false;  // keep each solve genuinely expensive
-    futures.push_back(engine.SubmitAsync(std::move(req)));
+    futures.push_back(engine.HandleAsync(std::move(req)));
   }
   uint64_t ok = 0, shed = 0;
   for (std::future<ServeResponse>& f : futures) {
@@ -519,10 +520,9 @@ TEST(ServeUpdateAdmissionTest, DelayBudgetShedsStaleQueueEntries) {
 
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 24; ++i) {
-    ServeRequest req;
-    req.dataset = "d";
+    EngineRequest req = SolveRequest("d");
     req.use_cache = false;
-    futures.push_back(engine.SubmitAsync(std::move(req)));
+    futures.push_back(engine.HandleAsync(std::move(req)));
   }
   uint64_t ok = 0, shed = 0;
   for (std::future<ServeResponse>& f : futures) {

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,40 @@ TEST(FlagsTest, MalformedValuesAreRecordedAndNamed) {
             std::string::npos);
   EXPECT_NE(report.find("--audit=yes is not true, false, 1 or 0"),
             std::string::npos);
+}
+
+TEST(FlagsTest, ListsParseEveryElementOrAreMalformed) {
+  const char* argv[] = {"prog",          "--sizes=16,32", "--eps=1e-2,0.5",
+                        "--bad=16,3x",   "--gap=16,,32",  "--neg=4,-1",
+                        "--trail=1e-3,", "--empty="};
+  Flags flags(8, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetSizeList("sizes", "1"), (std::vector<size_t>{16, 32}));
+  EXPECT_EQ(flags.GetDoubleList("eps", "1"),
+            (std::vector<double>{1e-2, 0.5}));
+  EXPECT_EQ(flags.GetSizeList("absent", "8,9"), (std::vector<size_t>{8, 9}));
+  EXPECT_EQ(flags.ReportMalformed(stderr), 0);
+  // A malformed list is never read as its well-formed prefix or as zeros:
+  // it falls back to the default and is recorded under its flag name.
+  EXPECT_EQ(flags.GetSizeList("bad", "8"), (std::vector<size_t>{8}));
+  EXPECT_EQ(flags.GetSizeList("gap", "8"), (std::vector<size_t>{8}));
+  EXPECT_EQ(flags.GetSizeList("neg", "8"), (std::vector<size_t>{8}));
+  EXPECT_EQ(flags.GetDoubleList("trail", "0.25"),
+            (std::vector<double>{0.25}));
+  EXPECT_EQ(flags.GetSizeList("empty", "8"), (std::vector<size_t>{8}));
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  EXPECT_EQ(flags.ReportMalformed(sink), 5);
+  std::rewind(sink);
+  std::string report;
+  char line[256];
+  while (std::fgets(line, sizeof(line), sink) != nullptr) report += line;
+  std::fclose(sink);
+  EXPECT_NE(report.find("--bad=16,3x is not a list of non-negative integers"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("--trail=1e-3, is not a list of numbers"),
+            std::string::npos)
+      << report;
 }
 
 TEST(FlagsTest, WellFormedSpellingsAreNotMalformed) {

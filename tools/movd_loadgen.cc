@@ -22,7 +22,7 @@
 //
 // Requests ride the typed client library (serve/client.h): each loop
 // iteration builds an EngineRequest — the same typed form an in-process
-// Engine caller would build — and ServeClient::Call puts it on the wire
+// QueryEngine::Handle takes — and ServeClient::Call puts it on the wire
 // and parses the response back into a structured ClientResponse. No
 // protocol strings are assembled here; the wire format lives entirely in
 // serve/protocol.cc, on both sides of the socket.
@@ -62,6 +62,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "serve/client.h"
@@ -264,12 +265,10 @@ EngineRequest BuildRequest(const LoadConfig& cfg, size_t verb_index,
                 static_cast<unsigned long long>(n));
   request.id = id;
   request.dataset = cfg.dataset;
-  if ((desc.caps & kCapMutation) != 0) {
-    SiteMutation mutation;
-    mutation.kind = desc.mutation;
-    mutation.layer = site.layer;
-    mutation.location = Point{site.x, site.y};
-    request.op = mutation;
+  request.op = desc.op;
+  if (auto* mutation = std::get_if<SiteMutation>(&request.op)) {
+    mutation->layer = site.layer;
+    mutation->location = Point{site.x, site.y};
     return request;
   }
   if ((desc.allowed_args & kArgLayers) != 0) {
@@ -281,24 +280,20 @@ EngineRequest BuildRequest(const LoadConfig& cfg, size_t verb_index,
   if (cfg.deadline_ms > 0.0 && (desc.allowed_args & kArgDeadlineMs) != 0) {
     request.deadline_ms = cfg.deadline_ms;
   }
-  const size_t topk = static_cast<size_t>(cfg.k);
-  switch (desc.kind) {
-    case ServeQueryKind::kMolq:
-      request.op = SolveSpec{cfg.algorithm, topk};
-      break;
-    case ServeQueryKind::kSkyline:
-      request.op = SkylineSpec{cfg.algorithm};
-      break;
-    case ServeQueryKind::kDiverse:
-      request.op = DiverseSpec{cfg.algorithm, topk, cfg.min_dist};
-      break;
-    case ServeQueryKind::kConstrained:
-      request.op = ConstrainSpec{cfg.constraint};
-      break;
-    case ServeQueryKind::kWhatIf:
-      request.op = WhatIfSpec{cfg.algorithm, topk,
-                              SweepVectors(pattern.layers.size())};
-      break;
+  if (MolqAlgorithm* algorithm = AlgorithmField(&request.op)) {
+    *algorithm = cfg.algorithm;
+  }
+  if (size_t* topk = TopKField(&request.op)) {
+    *topk = static_cast<size_t>(cfg.k);
+  }
+  if (auto* diverse = std::get_if<DiverseSpec>(&request.op)) {
+    diverse->min_distance = cfg.min_dist;
+  }
+  if (auto* constrain = std::get_if<ConstrainSpec>(&request.op)) {
+    constrain->constraint = cfg.constraint;
+  }
+  if (auto* what_if = std::get_if<WhatIfSpec>(&request.op)) {
+    what_if->sweep = SweepVectors(pattern.layers.size());
   }
   return request;
 }
@@ -336,17 +331,19 @@ void RunClient(const LoadConfig& cfg, int index, ClientStats* stats) {
     const VerbDescriptor* desc = cfg.verbs[verb].desc;
     MutationSite site;
     bool pops_stack = false;
-    if ((desc->caps & kCapMutation) != 0) {
-      if (desc->mutation == MutationKind::kDelete && !inserted.empty()) {
+    if (const auto* mutation = std::get_if<SiteMutation>(&desc->op)) {
+      const bool is_delete = mutation->kind == MutationKind::kDelete;
+      if (is_delete && !inserted.empty()) {
         site = inserted.back();
         pops_stack = true;
       } else {
         // DELETE with nothing of ours to delete degrades to INSERT so the
         // request is still a valid mutation.
-        if (desc->mutation == MutationKind::kDelete) {
+        if (is_delete) {
           for (size_t v = 0; v < cfg.verbs.size(); ++v) {
-            if ((cfg.verbs[v].desc->caps & kCapMutation) != 0 &&
-                cfg.verbs[v].desc->mutation == MutationKind::kInsert) {
+            const auto* other =
+                std::get_if<SiteMutation>(&cfg.verbs[v].desc->op);
+            if (other != nullptr && other->kind == MutationKind::kInsert) {
               verb = v;
               desc = cfg.verbs[v].desc;
               break;

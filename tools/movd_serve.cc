@@ -39,6 +39,7 @@
 #include "data/csv.h"
 #include "data/generate.h"
 #include "serve/protocol.h"
+#include "serve/query_engine.h"
 #include "trace/trace.h"
 #include "util/flags.h"
 
@@ -69,7 +70,7 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-void RegisterSynthetic(Engine* engine, int layers, size_t count,
+void RegisterSynthetic(QueryEngine* engine, int layers, size_t count,
                        double world_size, uint64_t seed) {
   const Rect world(0, 0, world_size, world_size);
   const auto& catalog = GeoNamesLikeCatalog();
@@ -91,7 +92,7 @@ void RegisterSynthetic(Engine* engine, int layers, size_t count,
   engine->RegisterDataset("synthetic", std::move(query), world);
 }
 
-bool RegisterCsv(Engine* engine, const std::string& csv_list) {
+bool RegisterCsv(QueryEngine* engine, const std::string& csv_list) {
   MolqQuery query;
   Rect world;
   size_t pos = 0;
@@ -123,7 +124,7 @@ bool RegisterCsv(Engine* engine, const std::string& csv_list) {
 
 /// Handles one protocol line; fills the response line (no trailing
 /// newline). Returns true when the whole server should shut down.
-bool ServeOneLine(Engine* engine, const std::string& line,
+bool ServeOneLine(QueryEngine* engine, const std::string& line,
                   std::string* out, bool* close_conn) {
   ServeVerb verb = ServeVerb::kPing;
   EngineRequest request;
@@ -155,8 +156,7 @@ bool ServeOneLine(Engine* engine, const std::string& line,
       break;
   }
   // HandleAsync + get: the connection thread blocks while the request is
-  // routed (or scattered) onto the engine's worker pools with everything
-  // else in flight.
+  // queued onto the engine's worker pool with everything else in flight.
   const ServeResponse resp = engine->HandleAsync(std::move(request)).get();
   // Resolve answer group refs through the snapshot the response pinned —
   // never the engine's current one, which a concurrent mutation may have
@@ -166,7 +166,7 @@ bool ServeOneLine(Engine* engine, const std::string& line,
   return false;
 }
 
-int RunStdio(Engine* engine) {
+int RunStdio(QueryEngine* engine) {
   std::string line;
   while (!g_stop.load() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -181,7 +181,7 @@ int RunStdio(Engine* engine) {
   return 0;
 }
 
-int RunSocket(Engine* engine, const std::string& path) {
+int RunSocket(QueryEngine* engine, const std::string& path) {
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd < 0) {
     std::fprintf(stderr, "movd_serve: socket: %s\n", std::strerror(errno));
