@@ -106,7 +106,26 @@ BENCH(micro_fermat_kernels) {
     Point at{0, 0};
     const Summary& wall = ctx.Measure(c, [&] {
       for (int i = 0; i < kOps; ++i) {
-        at = SolveTriangle(pts);
+        at = SolveTriangle(pts).location;
+        Keep(at);
+      }
+    });
+    c.Metric("x", at.x);
+    c.Metric("y", at.y);
+    c.Derived("ns_per_op", wall.median / kOps * 1e9);
+  }
+
+  {
+    // Unequal weights with an interior optimum: the closed-form
+    // construction plus its Newton polish.
+    BenchCase& c = ctx.Case("weighted_triangle");
+    const std::vector<WeightedPoint> pts = {
+        {{0, 0}, 2.0}, {{10, 1}, 3.0}, {{4, 8}, 4.0}};
+    constexpr int kOps = 100000;
+    Point at{0, 0};
+    const Summary& wall = ctx.Measure(c, [&] {
+      for (int i = 0; i < kOps; ++i) {
+        at = SolveTriangle(pts).location;
         Keep(at);
       }
     });

@@ -26,22 +26,6 @@ struct PoiListHash {
   }
 };
 
-// Builds the Fermat–Weber problem of one OVR: demand points with the
-// type/object weights folded into Fermat–Weber form, plus the constant
-// offset of the decomposition (zero for all-multiplicative queries).
-void BuildProblem(const MolqQuery& query, const std::vector<PoiRef>& pois,
-                  std::vector<WeightedPoint>* points, double* offset) {
-  points->clear();
-  *offset = 0.0;
-  for (const PoiRef& ref : pois) {
-    const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
-    const FermatWeberTerm term = DecomposeWeightedDistance(
-        obj, query.type_function, query.ObjectFunction(ref.set));
-    points->push_back({obj.location, term.fw_weight});
-    *offset += term.offset;
-  }
-}
-
 // Exact optimal cost of the first two demand points (see batch.cc); adding
 // the full problem's constant offset keeps it a valid lower bound of the
 // full problem's optimal total cost.
@@ -107,9 +91,9 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
     if (duplicate[i]) return;
     problems.fetch_add(1, std::memory_order_relaxed);
 
-    std::vector<WeightedPoint> points;
-    double offset = 0.0;
-    BuildProblem(query, ovr.pois, &points, &offset);
+    // One problem buffer per worker thread, reused across its OVRs.
+    thread_local std::vector<WeightedPoint> points;
+    const double offset = BuildFermatWeberProblem(query, ovr.pois, &points);
 
     if (options.use_two_point_prefilter && points.size() > 3 &&
         TwoPointPrefixCost(points, offset) >

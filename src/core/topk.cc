@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
-#include <map>
-#include <queue>
 #include <set>
 
 #include "core/pruned_overlap.h"
@@ -27,23 +26,25 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   TraceContextScope trace_scope(options.exec.trace);
   TraceSpan span("topk_optimize");
 
-  // Best cost per distinct combination; duplicates (MBRB false positives)
-  // collapse naturally. Groups the bound already pruned are remembered too:
-  // the bound only ever decreases, so a pruned group stays pruned, and a
-  // duplicate OVR must not re-run its Weiszfeld iteration.
-  std::map<std::vector<PoiRef>, RankedLocation> best_by_group;
-  std::set<std::vector<PoiRef>> pruned_groups;
-
-  // The k smallest costs seen so far, as a bounded max-heap: the root is
-  // the running k-th best, which is the prune bound. O(log k) per
-  // insertion instead of an O(n) selection over every group so far.
-  std::priority_queue<double> best_k;
-  // Atomic so the solver's live shared-bound prune can read it; the loop
-  // itself is serial. The prune is strict (lb > bound), so a candidate
-  // whose optimum exactly ties the current k-th cost is still solved and
-  // retained — dropping it would under-fill the result when fewer than k
-  // other combinations exist.
+  // The k best entries so far, ordered by (cost, group): lexicographic
+  // group order settles cost ties. A tree, so each step is O(log k) for
+  // any k. A group seen again (MBRB duplicates) re-solves to the same
+  // cost: it is either ranked already (the insert finds its key) or was
+  // evicted or pruned, and the bound, which only decreases, rejects it.
+  const auto precedes = [](double cost, const std::vector<PoiRef>& group,
+                           const RankedLocation& entry) {
+    return cost < entry.cost ||
+           (!(entry.cost < cost) && group < entry.group);
+  };
+  const auto before = [&](const RankedLocation& a, const RankedLocation& b) {
+    return precedes(a.cost, a.group, b);
+  };
+  std::set<RankedLocation, decltype(before)> best(before);
+  // The k-th best cost, the prune bound; atomic for the solver's shared-
+  // bound read (the loop is serial). The prune is strict (lb > bound), so
+  // an optimum tying the k-th cost is still solved and ranked by group.
   std::atomic<double> kth_bound{std::numeric_limits<double>::infinity()};
+  std::vector<WeightedPoint> points;
 
   for (const Ovr& ovr : movd.ovrs) {
     // Cancellation checkpoint (serving deadlines): once per OVR. A fired
@@ -54,18 +55,7 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
       return result;
     }
     MOVD_CHECK(!ovr.pois.empty());
-    if (best_by_group.count(ovr.pois) || pruned_groups.count(ovr.pois)) {
-      continue;  // combination already solved (or already proven worse)
-    }
-    std::vector<WeightedPoint> points;
-    double offset = 0.0;
-    for (const PoiRef& ref : ovr.pois) {
-      const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
-      const FermatWeberTerm term = DecomposeWeightedDistance(
-          obj, query.type_function, query.ObjectFunction(ref.set));
-      points.push_back({obj.location, term.fw_weight});
-      offset += term.offset;
-    }
+    const double offset = BuildFermatWeberProblem(query, ovr.pois, &points);
     FermatWeberOptions fw;
     fw.epsilon = options.epsilon;
     if (options.use_cost_bound) {
@@ -74,37 +64,19 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
     }
     const FermatWeberResult r = SolveFermatWeber(points, fw);
     span.Counter("weiszfeld_iters", r.iterations);
-    if (r.pruned) {  // provably worse than the current k-th best
-      pruned_groups.insert(ovr.pois);
+    if (r.pruned) continue;  // provably worse than the current k-th best
+    const double cost = r.cost + offset;
+    if (best.size() == k && !precedes(cost, ovr.pois, *best.rbegin())) {
       continue;
     }
-    RankedLocation ranked;
-    ranked.location = r.location;
-    ranked.cost = r.cost + offset;
-    ranked.group = ovr.pois;
-    const double cost = ranked.cost;
-    best_by_group.emplace(ovr.pois, std::move(ranked));
-    if (best_k.size() < k) {
-      best_k.push(cost);
-    } else if (cost < best_k.top()) {
-      best_k.pop();
-      best_k.push(cost);
-    }
-    if (best_k.size() == k) {
-      kth_bound.store(best_k.top(), std::memory_order_relaxed);
+    if (!best.insert({r.location, cost, ovr.pois}).second) continue;
+    if (best.size() > k) best.erase(std::prev(best.end()));
+    if (best.size() == k) {
+      kth_bound.store(best.rbegin()->cost, std::memory_order_relaxed);
     }
   }
+  result.ranked.assign(best.begin(), best.end());
 
-  result.ranked.reserve(best_by_group.size());
-  for (auto& [group, r] : best_by_group) result.ranked.push_back(std::move(r));
-  // stable_sort keeps the map's (set, object) group order among equal
-  // costs, so tied tails are deterministic: when every candidate ties, the
-  // ranking is exactly the lexicographic group order.
-  std::stable_sort(result.ranked.begin(), result.ranked.end(),
-                   [](const RankedLocation& a, const RankedLocation& b) {
-                     return a.cost < b.cost;
-                   });
-  if (result.ranked.size() > k) result.ranked.resize(k);
   span.Counter("ranked", static_cast<int64_t>(result.ranked.size()));
   if (!result.ranked.empty()) {
     result.location = result.ranked.front().location;

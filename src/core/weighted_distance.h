@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "fermat/fermat_weber.h"
 #include "model/object.h"
 #include "geom/point.h"
 
@@ -43,6 +44,15 @@ struct FermatWeberTerm {
 FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
                                           WeightFunctionKind type_fn,
                                           WeightFunctionKind object_fn);
+
+/// The Fermat–Weber problem of one object group (an OVR's poi list): per
+/// object its location with the DecomposeWeightedDistance weight, written
+/// into `points` (cleared first, so a caller can reuse one buffer across
+/// groups). Returns the sum of the constant offsets, accumulated in group
+/// order; WGD(q, group) = FermatWeberCost(*points, q) + that sum.
+double BuildFermatWeberProblem(const MolqQuery& query,
+                               const std::vector<PoiRef>& group,
+                               std::vector<WeightedPoint>* points);
 
 }  // namespace movd
 

@@ -1,7 +1,9 @@
 #include "fermat/fermat_weber.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "geom/predicates.h"
 #include "util/check.h"
@@ -9,41 +11,28 @@
 namespace movd {
 namespace {
 
+// Weighted median of (position, weight) pairs: the first position, in
+// sorted order, at which the running weight reaches half the total.
+double WeightedMedian(std::vector<std::pair<double, double>>* items) {
+  std::sort(items->begin(), items->end());
+  double total = 0.0;
+  for (const auto& [x, w] : *items) total += w;
+  double acc = 0.0;
+  for (const auto& [x, w] : *items) {
+    acc += w;
+    if (acc >= 0.5 * total) return x;
+  }
+  return items->back().first;
+}
+
 // Weighted-median objective: returns min_y sum_i w_i |y - x_i| given
 // (position, weight) pairs. Exact via sorting.
 double WeightedMedianCost(std::vector<std::pair<double, double>>* items) {
   if (items->empty()) return 0.0;
-  std::sort(items->begin(), items->end());
-  double total = 0.0;
-  for (const auto& [x, w] : *items) total += w;
-  // Find the weighted median position.
-  double acc = 0.0;
-  double median = items->back().first;
-  for (const auto& [x, w] : *items) {
-    acc += w;
-    if (acc >= 0.5 * total) {
-      median = x;
-      break;
-    }
-  }
+  const double median = WeightedMedian(items);
   double cost = 0.0;
   for (const auto& [x, w] : *items) cost += w * std::fabs(median - x);
   return cost;
-}
-
-// Sum of weighted unit vectors from q toward every point except index
-// `skip` (-1 to include all). Points coinciding with q are ignored.
-Point PullVector(const std::vector<WeightedPoint>& points, const Point& q,
-                 int skip) {
-  Point pull{0.0, 0.0};
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (static_cast<int>(i) == skip) continue;
-    const Point diff = points[i].location - q;
-    const double d = diff.Norm();
-    if (d == 0.0) continue;
-    pull = pull + diff * (points[i].weight / d);
-  }
-  return pull;
 }
 
 // One Weiszfeld step (paper Eq. 8/9), with the Vardi–Zhang correction when
@@ -59,18 +48,21 @@ Point WeiszfeldStep(const std::vector<WeightedPoint>& points, const Point& q) {
   }
   if (at >= 0) {
     // Vertex optimality test: q == p_at is optimal iff the pull of the
-    // remaining points does not exceed w_at.
-    const Point pull = PullVector(points, q, at);
+    // remaining points (their weighted unit vectors from q; points on q
+    // are ignored) does not exceed w_at.
+    Point pull{0.0, 0.0};
+    double denom = 0.0;
+    for (const WeightedPoint& p : points) {
+      const Point diff = p.location - q;
+      const double d = diff.Norm();
+      if (d == 0.0) continue;
+      pull = pull + diff * (p.weight / d);
+      denom += p.weight / d;
+    }
     const double r = pull.Norm();
     const double w = points[at].weight;
     if (r <= w) return q;
     // Vardi–Zhang: move along the pull direction by the damped step.
-    double denom = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (static_cast<int>(i) == at) continue;
-      const double d = Distance(points[i].location, q);
-      if (d > 0.0) denom += points[i].weight / d;
-    }
     MOVD_DCHECK(denom > 0.0);
     const double step = (r - w) / denom;
     return q + pull * (step / r);
@@ -96,6 +88,86 @@ Point Centroid(const std::vector<WeightedPoint>& points) {
     w += p.weight;
   }
   return w > 0.0 ? c / w : points.front().location;
+}
+
+// The converged result of an exactly known optimum q.
+FermatWeberResult ExactAt(const std::vector<WeightedPoint>& points,
+                          const Point& q) {
+  FermatWeberResult result;
+  result.location = q;
+  result.cost = FermatWeberCost(points, q);
+  result.converged = true;
+  return result;
+}
+
+// Cap on SolveTriangle's polish steps (a few at most from a construction;
+// the cap bounds Weiszfeld crawls on near-degenerate input).
+constexpr int kMaxPolishSteps = 200;
+
+// Newton step -H^-1 g of the cost at q: g = sum w_i u_i, H = sum (w_i /
+// d_i)(I - u_i u_i^T), u_i the unit vector p_i -> q. kNone at a demand
+// point or singular H; kResolved within sqrt(DBL_EPSILON) of the nearest
+// distance, where the cost change is below its rounding (and so is the
+// Weiszfeld step's, -g / sum(w_i / d_i), as H <= sum(w_i / d_i) I).
+enum class Newton { kStep, kResolved, kNone };
+Newton NewtonStep(const std::vector<WeightedPoint>& points, const Point& q,
+                  Point* step) {
+  double gx = 0.0, gy = 0.0, hxx = 0.0, hxy = 0.0, hyy = 0.0;
+  double nearest = std::numeric_limits<double>::infinity();
+  for (const WeightedPoint& p : points) {
+    const Point u = q - p.location;
+    const double d = u.Norm();
+    if (!(d > 0.0)) return Newton::kNone;
+    nearest = std::min(nearest, d);
+    const double inv = 1.0 / d;
+    const double ux = u.x * inv, uy = u.y * inv, s = p.weight * inv;
+    gx += p.weight * ux;
+    gy += p.weight * uy;
+    hxx += s * uy * uy;
+    hyy += s * ux * ux;
+    hxy -= s * ux * uy;
+  }
+  const double det = hxx * hyy - hxy * hxy;
+  if (!(det > 0.0)) return Newton::kNone;
+  *step = Point{hxy * gy - hyy * gx, hxy * gx - hxx * gy} * (1.0 / det);
+  return step->Norm2() <= DBL_EPSILON * nearest * nearest ? Newton::kResolved
+                                                           : Newton::kStep;
+}
+
+// Closed-form interior optimum of a weighted triangle. There the weighted
+// unit vectors toward the points sum to zero, so q sees edge p_i p_j under
+// the angle theta_ij with cos theta_ij = (w_k^2 - w_i^2 - w_j^2) /
+// (2 w_i w_j), i.e. cot theta_ij = (w_k^2 - w_i^2 - w_j^2) / sqrt(P) for
+// P the Heron product of the weights. By the inscribed-angle theorem that
+// locus is a circle through p_i and p_j; the two circles through a shared
+// vertex a meet again at q, the reflection of a across the line through
+// their centres. Non-finite when rounding leaves no such angle (P <= 0).
+Point InscribedAngleIntersection(const std::vector<WeightedPoint>& points) {
+  // Share the lightest vertex: the optimum lies farthest from it, away
+  // from the tangency where the two circles meet only at a.
+  const int s = points[1].weight < points[0].weight
+                    ? (points[2].weight < points[1].weight ? 2 : 1)
+                    : (points[2].weight < points[0].weight ? 2 : 0);
+  const WeightedPoint& a = points[s];
+  const WeightedPoint& b = points[(s + 1) % 3];
+  const WeightedPoint& c = points[(s + 2) % 3];
+  const double wa = a.weight, wb = b.weight, wc = c.weight;
+  const double root = std::sqrt((wa + wb + wc) * (wb + wc - wa) *
+                                (wa + wc - wb) * (wa + wb - wc));
+  // Relative to a: the centre of the circle through 0 and e seeing e under
+  // theta from the side `toward` (+1 left of 0->e) is the chord midpoint
+  // moved cot(theta) / 2 chord lengths along the normal.
+  const double half_inv_root = 0.5 / root;
+  const auto centre = [&](const Point& e, double cos_num, double toward) {
+    return e * 0.5 + Point{-e.y, e.x} * (cos_num * half_inv_root * toward);
+  };
+  const Point ab = b.location - a.location;
+  const Point ac = c.location - a.location;
+  const double side = ab.Cross(ac) > 0.0 ? 1.0 : -1.0;
+  const Point c1 = centre(ab, wc * wc - wa * wa - wb * wb, side);
+  const Point c2 = centre(ac, wb * wb - wa * wa - wc * wc, -side);
+  const Point d = c2 - c1;
+  return a.location + (c1 - d * (c1.Dot(d) / d.Norm2())) * 2.0;
 }
 
 }  // namespace
@@ -150,133 +222,85 @@ std::optional<Point> SolveCollinear(const std::vector<WeightedPoint>& points) {
   for (const WeightedPoint& p : points) {
     ts.emplace_back((p.location - a).Dot(dir), p.weight);
   }
-  std::sort(ts.begin(), ts.end());
-  double total = 0.0;
-  for (const auto& [t, w] : ts) total += w;
-  double acc = 0.0;
-  double median_t = ts.back().first;
-  for (const auto& [t, w] : ts) {
-    acc += w;
-    if (acc >= 0.5 * total) {
-      median_t = t;
-      break;
-    }
-  }
-  return a + dir * (median_t / dir.Norm2());
+  return a + dir * (WeightedMedian(&ts) / dir.Norm2());
 }
 
-Point TorricelliPoint(const Point& a, const Point& b, const Point& c) {
-  // Sliver triangles can pass the exact collinearity test while being far
-  // too flat for the equilateral construction: the "away from w" side
-  // choice keys on cross products at underflow scale, flips inconsistently
-  // between the two apexes, and the lines then intersect at the Fermat
-  // point of a phantom non-degenerate triangle. Weiszfeld has no such
-  // degeneracy; iterate instead of intersecting.
-  const double area2 = std::fabs((b - a).Cross(c - a));
-  const double scale =
-      std::max({(b - a).Norm2(), (c - a).Norm2(), (c - b).Norm2()});
-  if (area2 <= 1e-12 * scale) {
-    const std::vector<WeightedPoint> pts = {{a, 1.0}, {b, 1.0}, {c, 1.0}};
-    FermatWeberOptions opts;
-    opts.epsilon = 1e-12;
-    opts.use_exact_special_cases = false;  // avoid recursing through here
-    return SolveFermatWeber(pts, opts).location;
-  }
-  // Apex of the outward equilateral triangle on edge (u, v), on the side
-  // away from w: rotate (v - u) by +-60 degrees around u.
-  const auto apex = [](const Point& u, const Point& v, const Point& w) {
-    constexpr double kCos60 = 0.5;
-    const double kSin60 = std::sqrt(3.0) / 2.0;
-    const Point d = v - u;
-    const Point rot_pos{kCos60 * d.x - kSin60 * d.y,
-                        kSin60 * d.x + kCos60 * d.y};
-    const Point apex_pos = u + rot_pos;
-    const Point rot_neg{kCos60 * d.x + kSin60 * d.y,
-                        -kSin60 * d.x + kCos60 * d.y};
-    const Point apex_neg = u + rot_neg;
-    // Pick the apex on the opposite side of (u, v) from w.
-    const double side_w = (v - u).Cross(w - u);
-    const double side_pos = (v - u).Cross(apex_pos - u);
-    return side_w * side_pos < 0.0 ? apex_pos : apex_neg;
-  };
-  // Fermat point = intersection of a->apex(b,c) and b->apex(a,c).
-  const Point pa = apex(b, c, a);
-  const Point pb = apex(a, c, b);
-  const Point d1 = pa - a;
-  const Point d2 = pb - b;
-  const double denom = d1.Cross(d2);
-  // Backstop for the flatness test above: if the construction lines still
-  // come out numerically parallel the intersection is meaningless, so
-  // iterate rather than divide by a rounding residue.
-  if (std::fabs(denom) <= 1e-12 * d1.Norm() * d2.Norm()) {
-    const std::vector<WeightedPoint> pts = {{a, 1.0}, {b, 1.0}, {c, 1.0}};
-    FermatWeberOptions opts;
-    opts.epsilon = 1e-12;
-    opts.use_exact_special_cases = false;  // avoid recursing through here
-    return SolveFermatWeber(pts, opts).location;
-  }
-  const double t = (b - a).Cross(d2) / denom;
-  return a + d1 * t;
-}
-
-Point SolveTriangle(const std::vector<WeightedPoint>& points) {
+FermatWeberResult SolveTriangle(const std::vector<WeightedPoint>& points) {
   MOVD_CHECK(points.size() == 3);
-  // Vertex optimality (generalises the 120-degree rule to weights).
+  // edge[i] is the side opposite p_i; vertex j's neighbours are k and l.
+  const double edge[3] = {Distance(points[1].location, points[2].location),
+                          Distance(points[0].location, points[2].location),
+                          Distance(points[0].location, points[1].location)};
+  double vertex_cost[3];
   for (int j = 0; j < 3; ++j) {
-    const Point pull = PullVector(points, points[j].location, j);
-    if (pull.Norm() <= points[j].weight) return points[j].location;
+    const int k = (j + 1) % 3, l = (j + 2) % 3;
+    const auto pull = [&](int i, double d) {
+      const Point diff = points[i].location - points[j].location;
+      return d > 0.0 ? diff * (points[i].weight / d) : Point{};
+    };
+    // Vertex optimality (generalises the 120-degree rule to weights).
+    if ((pull(k, edge[l]) + pull(l, edge[k])).Norm() <= points[j].weight) {
+      return ExactAt(points, points[j].location);
+    }
+    vertex_cost[j] = points[k].weight * edge[l] + points[l].weight * edge[k];
   }
-  const bool equal_weights = points[0].weight == points[1].weight &&
-                             points[1].weight == points[2].weight;
-  if (equal_weights &&
-      !Collinear(points[0].location, points[1].location, points[2].location)) {
-    return TorricelliPoint(points[0].location, points[1].location,
-                           points[2].location);
+  if (Collinear(points[0].location, points[1].location, points[2].location)) {
+    return ExactAt(points, *SolveCollinear(points));
   }
-  // Weighted interior optimum: no simple closed form; iterate to machine
-  // precision (converges in tens of iterations for a triangle).
-  FermatWeberOptions opts;
-  opts.epsilon = 1e-12;
-  opts.max_iterations = 100000;
-  opts.use_exact_special_cases = false;
-  return SolveFermatWeber(points, opts).location;
+  FermatWeberResult result =
+      ExactAt(points, InscribedAngleIntersection(points));
+  Point& q = result.location;
+  double& cost = result.cost;
+  // Weights that barely fail the vertex test leave no (or a wild)
+  // construction, and the optimum hugs a vertex: start from the cheapest.
+  for (int j = 0; j < 3; ++j) {
+    if (!(cost <= vertex_cost[j])) result = ExactAt(points, points[j].location);
+  }
+  // Polish: a Newton step (halved at most 3 times), else a Weiszfeld/
+  // Vardi–Zhang step; stop at the first that does not lower the cost, or
+  // once the Newton step is below the cost's resolution.
+  while (result.iterations < kMaxPolishSteps) {
+    Point step;
+    const Newton newton = NewtonStep(points, q, &step);
+    if (newton == Newton::kResolved) break;
+    Point next = q;
+    double next_cost = cost;
+    for (int halvings = 0; newton == Newton::kStep && halvings <= 3 &&
+                           !(next_cost < cost);
+         ++halvings, step = step * 0.5) {
+      next = q + step;
+      next_cost = FermatWeberCost(points, next);
+    }
+    if (!(next_cost < cost)) {
+      next = WeiszfeldStep(points, q);
+      next_cost = FermatWeberCost(points, next);
+    }
+    if (!(next_cost < cost)) break;
+    q = next;
+    cost = next_cost;
+    ++result.iterations;
+  }
+  return result;
 }
 
 FermatWeberResult SolveFermatWeber(const std::vector<WeightedPoint>& points,
                                    const FermatWeberOptions& options) {
   MOVD_CHECK_MSG(!points.empty(),
                  "a Fermat-Weber problem needs at least one point");
-  FermatWeberResult result;
-
   if (options.use_exact_special_cases) {
-    if (points.size() == 1) {
-      result.location = points.front().location;
-      result.cost = 0.0;
-      result.converged = true;
-      return result;
-    }
+    if (points.size() == 1) return ExactAt(points, points.front().location);
     if (points.size() == 2) {
       // Optimum at the heavier endpoint (anywhere on the segment for ties).
       const bool first = points[0].weight >= points[1].weight;
-      result.location = (first ? points[0] : points[1]).location;
-      result.cost = FermatWeberCost(points, result.location);
-      result.converged = true;
-      return result;
+      return ExactAt(points, (first ? points[0] : points[1]).location);
     }
     if (const auto collinear = SolveCollinear(points)) {
-      result.location = *collinear;
-      result.cost = FermatWeberCost(points, result.location);
-      result.converged = true;
-      return result;
+      return ExactAt(points, *collinear);
     }
-    if (points.size() == 3) {
-      result.location = SolveTriangle(points);
-      result.cost = FermatWeberCost(points, result.location);
-      result.converged = true;
-      return result;
-    }
+    if (points.size() == 3) return SolveTriangle(points);
   }
 
+  FermatWeberResult result;
   MOVD_CHECK(options.relaxation > 0.0 && options.relaxation <= 2.0);
   Point q = Centroid(points);
   double cost = FermatWeberCost(points, q);

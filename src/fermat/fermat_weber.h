@@ -34,18 +34,6 @@ double FermatWeberLowerBound(const std::vector<WeightedPoint>& points,
 /// median along the line, linear-time after sort); otherwise nullopt.
 std::optional<Point> SolveCollinear(const std::vector<WeightedPoint>& points);
 
-/// Exact solution of the three-point problem. Vertex optima are detected by
-/// the weighted optimality test |sum_{i != j} w_i u_i| <= w_j; interior
-/// optima use the Torricelli construction when weights are equal and a
-/// machine-precision iteration otherwise.
-Point SolveTriangle(const std::vector<WeightedPoint>& points);
-
-/// Unweighted Torricelli construction for a strictly interior Fermat point
-/// of triangle (a, b, c): intersection of the lines joining each vertex to
-/// the apex of the outward equilateral triangle on the opposite edge.
-/// Precondition: all angles < 120 degrees.
-Point TorricelliPoint(const Point& a, const Point& b, const Point& c);
-
 /// Options for the iterative (Weiszfeld) solver.
 struct FermatWeberOptions {
   /// Relative error bound epsilon: stop when (cost - lb) / lb <= epsilon,
@@ -88,7 +76,9 @@ struct FermatWeberOptions {
 struct FermatWeberResult {
   Point location;
   double cost = 0.0;
-  /// Weiszfeld iterations executed (0 for exact special cases).
+  /// Iterations executed: Weiszfeld steps, or for three points the polish
+  /// steps after SolveTriangle's construction (0 for vertex, collinear and
+  /// one- or two-point optima).
   int iterations = 0;
   /// True when the epsilon stopping rule was satisfied.
   bool converged = false;
@@ -96,6 +86,17 @@ struct FermatWeberResult {
   /// options.cost_bound; `location`/`cost` hold the last iterate.
   bool pruned = false;
 };
+
+/// Exact solution of the three-point problem (any positive weights).
+/// Vertex optima are detected by the weighted optimality test
+/// |sum_{i != j} w_i u_i| <= w_j and collinear input goes to
+/// SolveCollinear. An interior optimum is constructed in closed form (the
+/// second intersection of two inscribed-angle circles; the Torricelli point
+/// when weights are equal), without allocating, and polished by
+/// cost-safeguarded Newton steps on the 2x2 Hessian until no step lowers
+/// the cost. `iterations` counts the polish steps (usually 0); `converged`
+/// is always true.
+FermatWeberResult SolveTriangle(const std::vector<WeightedPoint>& points);
 
 /// Solves one Fermat–Weber problem with the modified Weiszfeld iteration
 /// (Eq. 8/9; Vardi–Zhang step when an iterate coincides with a demand

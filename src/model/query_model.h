@@ -44,8 +44,8 @@ bool Dominates(const std::vector<double>& a, const std::vector<double>& b);
 bool GroupBefore(const std::vector<PoiRef>& a, const std::vector<PoiRef>& b);
 
 /// The ranking order of cost-ranked results (diversified top-k, what-if
-/// rankings): ascending cost, ties by GroupBefore. Matches TopKFromMovd's
-/// stable map-order tie rule, so k best under this order == top-k.
+/// rankings): ascending cost, ties by GroupBefore. TopKFromMovd ranks by
+/// the same order, so k best under this order == top-k.
 bool CandidateOrderBefore(const SiteCandidate& a, const SiteCandidate& b);
 
 /// The skyline scan/output order: ascending left-to-right criteria sum,

@@ -166,16 +166,8 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
         const Ovr& ovr = clipped.ovrs[i];
         MOVD_CHECK(!ovr.pois.empty());
         std::vector<WeightedPoint> points;
-        points.reserve(ovr.pois.size());
-        double offset = 0.0;
-        for (const PoiRef& ref : ovr.pois) {
-          const SpatialObject& obj =
-              query.sets.at(ref.set).objects.at(ref.object);
-          const FermatWeberTerm term = DecomposeWeightedDistance(
-              obj, query.type_function, query.ObjectFunction(ref.set));
-          points.push_back({obj.location, term.fw_weight});
-          offset += term.offset;
-        }
+        const double offset =
+            BuildFermatWeberProblem(query, ovr.pois, &points);
         FermatWeberOptions fw;
         fw.epsilon = options.epsilon;
         const FermatWeberResult free = SolveFermatWeber(points, fw);

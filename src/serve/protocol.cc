@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace movd {
 namespace {
@@ -204,7 +206,10 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
           i > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument("bad threads '" + value + "'");
       }
-      request->exec.threads = static_cast<int>(i);
+      // Answers do not depend on the thread count, so a request asking for
+      // more threads than the host has gets the host's count (0 = auto).
+      request->exec.threads =
+          static_cast<int>(std::min<int64_t>(i, ResolveThreads(0)));
       return Status::Ok();
     case kArgCache:
       if (value == "0") {

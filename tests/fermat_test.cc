@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -111,9 +112,15 @@ TEST(CollinearTest, AllPointsIdentical) {
   EXPECT_EQ(*r, Point(2, 3));
 }
 
+// The Torricelli point is SolveTriangle's equal-weight (120-degree) case.
+std::vector<WeightedPoint> Unweighted(const Point& a, const Point& b,
+                                      const Point& c) {
+  return {{a, 1.0}, {b, 1.0}, {c, 1.0}};
+}
+
 TEST(TorricelliTest, EquilateralTriangleCentroid) {
   const Point a{0, 0}, b{1, 0}, c{0.5, std::sqrt(3.0) / 2.0};
-  const Point t = TorricelliPoint(a, b, c);
+  const Point t = SolveTriangle(Unweighted(a, b, c)).location;
   EXPECT_NEAR(t.x, 0.5, 1e-12);
   EXPECT_NEAR(t.y, std::sqrt(3.0) / 6.0, 1e-12);
 }
@@ -122,11 +129,11 @@ TEST(TorricelliTest, MatchesIterativeSolution) {
   Rng rng(63);
   for (int trial = 0; trial < 50; ++trial) {
     // Sample triangles, skipping those with an angle >= 120 degrees (the
-    // construction requires an interior optimum).
+    // optimum must be interior).
     const Point a{rng.Uniform(0, 10), rng.Uniform(0, 10)};
     const Point b{rng.Uniform(0, 10), rng.Uniform(0, 10)};
     const Point c{rng.Uniform(0, 10), rng.Uniform(0, 10)};
-    const std::vector<WeightedPoint> pts = {{a, 1.0}, {b, 1.0}, {c, 1.0}};
+    const std::vector<WeightedPoint> pts = Unweighted(a, b, c);
     bool vertex_optimal = false;
     for (int j = 0; j < 3; ++j) {
       Point pull{0, 0};
@@ -140,7 +147,7 @@ TEST(TorricelliTest, MatchesIterativeSolution) {
       if (pull.Norm() <= 1.0 + 1e-9) vertex_optimal = true;
     }
     if (vertex_optimal) continue;
-    const Point t = TorricelliPoint(a, b, c);
+    const Point t = SolveTriangle(pts).location;
     FermatWeberOptions opts;
     opts.epsilon = 1e-12;
     opts.use_exact_special_cases = false;
@@ -152,31 +159,31 @@ TEST(TorricelliTest, MatchesIterativeSolution) {
 
 TEST(TorricelliTest, SliverTriangleFallsBackToIterative) {
   // c sits a denormal above the segment ab: the triple fails the exact
-  // collinearity test, yet the two Torricelli construction lines are
-  // numerically antiparallel (denom underflows). The old code hard-aborted
-  // on MOVD_CHECK(denom != 0); the fallback must return a finite point.
+  // collinearity test, yet no construction resolves it (the old
+  // equilateral-apex lines were numerically antiparallel and aborted).
+  // The result must be a finite point on the segment.
   const Point a{0, 0}, b{1, 0}, c{0.5, 1e-30};
   ASSERT_NE(Orient2D(a, b, c), 0.0);  // not exactly collinear
-  const Point t = TorricelliPoint(a, b, c);
+  const Point t = SolveTriangle(Unweighted(a, b, c)).location;
   ASSERT_TRUE(std::isfinite(t.x));
   ASSERT_TRUE(std::isfinite(t.y));
   // Any point on the segment is optimal with cost d(a, b) = 1.
-  const std::vector<WeightedPoint> pts = {{a, 1.0}, {b, 1.0}, {c, 1.0}};
+  const std::vector<WeightedPoint> pts = Unweighted(a, b, c);
   EXPECT_NEAR(FermatWeberCost(pts, t), 1.0, 1e-9);
   EXPECT_NEAR(t.y, 0.0, 1e-9);
 }
 
 TEST(TorricelliTest, SliverSweepStaysFiniteAndNearOptimal) {
   // Sliver triangles across heights and apex positions: every result must
-  // be finite with cost within stopping-rule slack of the degenerate
-  // optimum d(a, b) (the apex is essentially on the segment).
+  // be finite with cost within rounding of the degenerate optimum d(a, b)
+  // (the apex is essentially on the segment).
   for (const double height : {1e-18, 1e-22, 1e-26, 1e-30}) {
     for (const double x : {0.2, 0.5, 0.8}) {
       const Point a{0, 0}, b{1, 0}, c{x, height};
-      const Point t = TorricelliPoint(a, b, c);
+      const Point t = SolveTriangle(Unweighted(a, b, c)).location;
       ASSERT_TRUE(std::isfinite(t.x)) << "h=" << height << " x=" << x;
       ASSERT_TRUE(std::isfinite(t.y)) << "h=" << height << " x=" << x;
-      const std::vector<WeightedPoint> pts = {{a, 1.0}, {b, 1.0}, {c, 1.0}};
+      const std::vector<WeightedPoint> pts = Unweighted(a, b, c);
       EXPECT_NEAR(FermatWeberCost(pts, t), 1.0, 1e-9)
           << "h=" << height << " x=" << x;
     }
@@ -187,13 +194,130 @@ TEST(SolveTriangleTest, ObtuseVertexWins) {
   // Angle at a is far beyond 120 degrees: the optimum is the vertex a.
   const std::vector<WeightedPoint> pts = {
       {{0, 0}, 1.0}, {{10, 0.5}, 1.0}, {{-10, 0.5}, 1.0}};
-  EXPECT_EQ(SolveTriangle(pts), Point(0, 0));
+  EXPECT_EQ(SolveTriangle(pts).location, Point(0, 0));
 }
 
 TEST(SolveTriangleTest, HeavyVertexWins) {
   const std::vector<WeightedPoint> pts = {
       {{0, 0}, 10.0}, {{1, 0}, 1.0}, {{0, 1}, 1.0}};
-  EXPECT_EQ(SolveTriangle(pts), Point(0, 0));
+  EXPECT_EQ(SolveTriangle(pts).location, Point(0, 0));
+}
+
+TEST(SolveTriangleTest, CollinearInputGoesToTheWeightedMedian) {
+  // Two coincident points fail the vertex test (each ignores the other),
+  // so only the collinear route finds their combined weight's median.
+  const std::vector<WeightedPoint> pts = {
+      {{3, 4}, 1.0}, {{3, 4}, 1.0}, {{9, 4}, 1.5}};
+  const FermatWeberResult r = SolveTriangle(pts);
+  EXPECT_EQ(r.location, Point(3, 4));
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_TRUE(r.converged);
+}
+
+// The reference: SolveFermatWeber's plain iteration run to epsilon = 1e-12.
+FermatWeberResult IterativeReference(const std::vector<WeightedPoint>& pts) {
+  FermatWeberOptions opts;
+  opts.epsilon = 1e-12;
+  opts.use_exact_special_cases = false;
+  return SolveFermatWeber(pts, opts);
+}
+
+TEST(SolveTriangleTest, BeatsTheIterationWhereItHitsItsCap) {
+  // Weighted interior optima on which the 1e-12 iteration stops at its
+  // 100,000-iteration cap without converging.
+  const std::vector<std::vector<WeightedPoint>> cases = {
+      {{{466.30660431489105, 7900.0850019693407}, 8.07856122367442},
+       {{27.326917494660847, 7591.987897192219}, 3.475341509708759},
+       {{488.30956178629168, 8367.7637536432176}, 9.7250086975964081}},
+      {{{2773.4708198968351, 7284.2501212627049}, 8.7965544757050864},
+       {{2818.1188066665727, 7267.4953013000659}, 9.5619188893437812},
+       {{2808.0407671323583, 7242.6868201364505}, 3.5196495226577311}},
+      {{{1165.0561997000937, 9259.2443639091362}, 1.6814947401470999},
+       {{1090.1294119068034, 9296.0269770250452}, 9.3821185220180716},
+       {{870.91616515405326, 8994.0682001012865}, 9.5218026645936664}}};
+  for (const auto& pts : cases) {
+    const FermatWeberResult reference = IterativeReference(pts);
+    EXPECT_EQ(reference.iterations, FermatWeberOptions().max_iterations);
+    const FermatWeberResult r = SolveTriangle(pts);
+    EXPECT_LT(r.cost, reference.cost);
+    EXPECT_TRUE(r.converged);
+  }
+}
+
+// The weighted vertex-optimality test, written out independently of the
+// solver: some p_j with |sum_{i != j} w_i u_ij| <= w_j.
+bool VertexOptimal(const std::vector<WeightedPoint>& pts) {
+  for (size_t j = 0; j < pts.size(); ++j) {
+    Point pull{0, 0};
+    for (size_t i = 0; i < pts.size(); ++i) {
+      const Point diff = pts[i].location - pts[j].location;
+      if (i != j && diff.Norm() > 0) {
+        pull = pull + diff * (pts[i].weight / diff.Norm());
+      }
+    }
+    if (pull.Norm() <= pts[j].weight) return true;
+  }
+  return false;
+}
+
+TEST(SolveTriangleTest, SeededSweepIsNoWorseThanTheIteration) {
+  // Interior optima of four kinds: log-uniform weights on random
+  // triangles, equal weights, and two planted kinds whose weights are
+  // chosen (Lami's theorem: w_i proportional to |u_j x u_k|) so a chosen
+  // point q is the optimum — q within 1e-5..1e-1 (barycentric) of a
+  // vertex, and q inside a sliver of relative height 1e-5..1e-1. Scales
+  // span 1e-2..1e4 at offsets up to 1e4, as in map coordinates.
+  Rng rng(75);
+  int interior = 0, near_vertex = 0, sliver = 0;
+  for (int trial = 0; interior < 10000; ++trial) {
+    const int kind = trial % 200 == 0 ? 2 : trial % 200 == 1 ? 3 : trial % 2;
+    const double scale = std::pow(10.0, rng.Uniform(-2, 4));
+    const Point origin{rng.Uniform(0, 1e4), rng.Uniform(0, 1e4)};
+    std::vector<WeightedPoint> pts(3);
+    for (WeightedPoint& p : pts) {
+      p.location =
+          origin + Point{rng.Uniform(0, 1), rng.Uniform(0, 1)} * scale;
+      p.weight = kind == 1 ? 1.0 : std::exp(rng.Uniform(-2.0, 2.0));
+    }
+    if (kind >= 2) {
+      const double t = std::pow(10.0, rng.Uniform(-5, -1));
+      double bary[3] = {rng.Uniform(0.05, 1), rng.Uniform(0.05, 1),
+                        rng.Uniform(0.05, 1)};
+      if (kind == 2) {
+        const double s = rng.Uniform(0.05, 0.95);
+        bary[0] = 1 - t;
+        bary[1] = t * s;
+        bary[2] = t * (1 - s);
+      } else {
+        const Point ab = pts[1].location - pts[0].location;
+        pts[2].location = pts[0].location + ab * rng.Uniform(0.05, 0.95) +
+                          Point{-ab.y, ab.x} * t;
+      }
+      const double sum = bary[0] + bary[1] + bary[2];
+      Point q{0, 0};
+      for (int i = 0; i < 3; ++i) q = q + pts[i].location * (bary[i] / sum);
+      Point u[3];
+      for (int i = 0; i < 3; ++i) {
+        const Point d = pts[i].location - q;
+        u[i] = d / d.Norm();
+      }
+      const double w = std::exp(rng.Uniform(-4.0, 4.0));
+      for (int i = 0; i < 3; ++i) {
+        pts[i].weight = w * std::fabs(u[(i + 1) % 3].Cross(u[(i + 2) % 3]));
+      }
+    }
+    if (VertexOptimal(pts)) continue;
+    const FermatWeberResult r = SolveTriangle(pts);
+    ++interior;
+    near_vertex += kind == 2;
+    sliver += kind == 3;
+    EXPECT_LE(r.iterations, 8) << "trial " << trial;
+    const double reference = IterativeReference(pts).cost;
+    ASSERT_LE(r.cost, reference * (1.0 + 4.0 * DBL_EPSILON))
+        << "trial " << trial << " kind " << kind;
+  }
+  EXPECT_GE(near_vertex, 100);
+  EXPECT_GE(sliver, 100);
 }
 
 class WeiszfeldConvergenceTest

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <future>
@@ -29,6 +30,7 @@
 #include "storage/movd_file.h"
 #include "test_tmp.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "voronoi/voronoi.h"
 
 namespace movd {
@@ -293,7 +295,7 @@ TEST(ServeProtocolTest, ParsesFullSolveLine) {
   EXPECT_EQ(spec.topk, 3u);
   EXPECT_DOUBLE_EQ(request.epsilon, 0.01);
   EXPECT_DOUBLE_EQ(request.deadline_ms, 250.0);
-  EXPECT_EQ(request.exec.threads, 4);
+  EXPECT_EQ(request.exec.threads, std::min(4, ResolveThreads(0)));
   EXPECT_FALSE(request.use_cache);
 }
 
@@ -343,14 +345,30 @@ TEST(ServeProtocolTest, RejectsUnknownAndMalformedArguments) {
     EXPECT_NE(status.message().find(key), std::string::npos)
         << line << ": " << status.message();
   }
-  // The largest in-range values still parse.
+  // The largest in-range values still parse; threads= is capped at the
+  // host's hardware thread count.
   ASSERT_TRUE(ParseRequest("SOLVE dataset=d layers=2147483647,-2147483648 "
                            "threads=2147483647",
                            &verb, &request)
                   .ok());
   EXPECT_EQ(request.layers,
             (std::vector<int32_t>{2147483647, -2147483647 - 1}));
-  EXPECT_EQ(request.exec.threads, 2147483647);
+  EXPECT_EQ(request.exec.threads, ResolveThreads(0));
+}
+
+TEST(ServeProtocolTest, ThreadsAreCappedAtTheHardwareThreadCount) {
+  // Parsing only: no request runs, so no thread is started.
+  const int hardware = ResolveThreads(0);
+  ServeVerb verb;
+  EngineRequest request;
+  ASSERT_TRUE(
+      ParseRequest("SOLVE dataset=d threads=100000", &verb, &request).ok());
+  EXPECT_GE(request.exec.threads, 1);
+  EXPECT_LE(request.exec.threads, hardware);
+  ASSERT_TRUE(ParseRequest("SOLVE dataset=d threads=1", &verb, &request).ok());
+  EXPECT_EQ(request.exec.threads, 1);
+  ASSERT_TRUE(ParseRequest("SOLVE dataset=d threads=0", &verb, &request).ok());
+  EXPECT_EQ(request.exec.threads, 0);  // 0 still means "resolve at run time"
 }
 
 TEST(ServeProtocolTest, RectIsAnUnknownArgument) {
@@ -419,7 +437,7 @@ TEST(ServeProtocolTest, FormatRequestLineRoundTrips) {
   query.dataset = "ds";
   query.layers = {0, 2};
   query.epsilon = 1e-4;
-  query.exec.threads = 3;
+  query.exec.threads = std::min(3, ResolveThreads(0));  // parsing caps it
   query.use_cache = false;
   query.deadline_ms = 250.0;
   // Mutations accept only id/dataset in the envelope.

@@ -1,8 +1,13 @@
+#include <algorithm>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "core/overlap.h"
 #include "core/ssc.h"
 #include "core/topk.h"
 #include "core/weighted_distance.h"
+#include "fermat/fermat_weber.h"
 #include "util/rng.h"
 
 namespace movd {
@@ -63,6 +68,85 @@ std::vector<double> AllCombinationCosts(const MolqQuery& q, double epsilon) {
   }
   std::sort(costs.begin(), costs.end());
   return costs;
+}
+
+// Brute-force reference for TopKFromMovd: every distinct group of the
+// overlay solved without a bound, sorted by (cost, group), first k.
+std::vector<RankedLocation> BruteForceTopK(const MolqQuery& q,
+                                           const Movd& movd, size_t k,
+                                           double epsilon) {
+  std::set<std::vector<PoiRef>> groups;
+  for (const Ovr& ovr : movd.ovrs) groups.insert(ovr.pois);
+  std::vector<RankedLocation> all;
+  std::vector<WeightedPoint> points;
+  for (const std::vector<PoiRef>& group : groups) {
+    const double offset = BuildFermatWeberProblem(q, group, &points);
+    FermatWeberOptions fw;
+    fw.epsilon = epsilon;
+    const FermatWeberResult r = SolveFermatWeber(points, fw);
+    all.push_back({r.location, r.cost + offset, group});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const RankedLocation& a, const RankedLocation& b) {
+              return a.cost < b.cost ||
+                     (!(b.cost < a.cost) && a.group < b.group);
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameRanking(const std::vector<RankedLocation>& got,
+                       const std::vector<RankedLocation>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].cost, want[i].cost) << "rank " << i;
+    EXPECT_EQ(got[i].location, want[i].location) << "rank " << i;
+    EXPECT_EQ(got[i].group, want[i].group) << "rank " << i;
+  }
+}
+
+TEST(TopKTest, MatchesBruteForceRankingBitForBit) {
+  // Three sets (closed-form triangles) and four (bounded Weiszfeld),
+  // ordinary and object-weighted sets, RRB and MBRB overlays, and k from 1
+  // to beyond the number of groups. The MBRB overlay is scanned twice, the
+  // second time in reverse, so groups repeat after they have been ranked,
+  // evicted or pruned — the MBRB false-positive pattern, made certain.
+  for (const std::vector<size_t>& sizes :
+       {std::vector<size_t>{4, 4, 3}, std::vector<size_t>{3, 3, 2, 2}}) {
+    for (const uint64_t seed : {431u, 432u}) {
+      MolqQuery q = RandomQuery(sizes, seed);
+      if (seed == 432u) {
+        Rng rng(seed);
+        for (ObjectSet& set : q.sets) {
+          for (SpatialObject& obj : set.objects) {
+            obj.object_weight = rng.Uniform(0.5, 2.5);
+          }
+        }
+      }
+      for (const BoundaryMode mode :
+           {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
+        std::vector<Movd> basic;
+        for (int32_t s = 0; s < static_cast<int32_t>(sizes.size()); ++s) {
+          basic.push_back(BuildBasicMovd(q, s, kBounds, 64));
+        }
+        Movd movd = OverlapAll(basic, mode);
+        if (mode == BoundaryMode::kMbr) {
+          const std::vector<Ovr> reversed(movd.ovrs.rbegin(),
+                                          movd.ovrs.rend());
+          movd.ovrs.insert(movd.ovrs.end(), reversed.begin(), reversed.end());
+        }
+        MolqOptions opts;
+        opts.epsilon = 1e-6;
+        for (const size_t k : {1u, 2u, 5u, 17u, 100u}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " sets " +
+                       std::to_string(sizes.size()) + " k " +
+                       std::to_string(k));
+          ExpectSameRanking(TopKFromMovd(q, movd, k, opts).ranked,
+                            BruteForceTopK(q, movd, k, opts.epsilon));
+        }
+      }
+    }
+  }
 }
 
 TEST(TopKTest, TopOneMatchesSolveMolq) {
@@ -239,6 +323,45 @@ TEST(TopKTest, AllCandidatesTiedRankInLexicographicGroupOrder) {
     ASSERT_EQ(top[i].group.size(), 2u);
     EXPECT_EQ(top[i].group[0].object, static_cast<int32_t>(i));
     EXPECT_EQ(top[i].group[1].object, static_cast<int32_t>(i));
+  }
+}
+
+TEST(TopKTest, AllTiedDuplicatedGroupsMatchBruteForce) {
+  // Every group costs exactly 0.0 and every group appears in three OVRs,
+  // scanned in reverse group order: the ranking is the group order alone,
+  // each group once, for k below, at and above the group count.
+  MolqQuery q;
+  for (int s = 0; s < 2; ++s) {
+    ObjectSet set;
+    set.name = std::string("type") += std::to_string(s);
+    for (int i = 0; i < 4; ++i) {
+      SpatialObject obj;
+      obj.location = {10.0 + 20.0 * i, 50.0};
+      set.objects.push_back(obj);
+    }
+    q.sets.push_back(std::move(set));
+  }
+  Movd movd;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (int i = 3; i >= 0; --i) {
+      Ovr ovr;
+      ovr.mbr = Rect(20.0 * i, 0, 20.0 * i + 20.0, 100);
+      ovr.region = Region::FromRect(ovr.mbr);
+      ovr.pois = {{0, i}, {1, i}};
+      movd.ovrs.push_back(std::move(ovr));
+    }
+  }
+  MolqOptions opts;
+  opts.epsilon = 1e-6;
+  for (const size_t k : {1u, 3u, 4u, 9u}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    const auto top = TopKFromMovd(q, movd, k, opts).ranked;
+    ExpectSameRanking(top, BruteForceTopK(q, movd, k, opts.epsilon));
+    ASSERT_EQ(top.size(), std::min<size_t>(k, 4));
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].cost, 0.0);
+      EXPECT_EQ(top[i].group[0].object, static_cast<int32_t>(i));
+    }
   }
 }
 

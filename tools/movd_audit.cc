@@ -8,8 +8,8 @@
 // it as a gate:
 //
 //   movd_audit --seeds=20 --sizes=64,256 --resolution=64 --threads=2
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -51,19 +51,6 @@ void Absorb(const AuditReport& report, const std::string& where, Tally* t) {
   }
 }
 
-std::vector<int> ParseSizes(const std::string& spec) {
-  std::vector<int> sizes;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const int v = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) sizes.push_back(v);
-    pos = comma + 1;
-  }
-  return sizes;
-}
-
 const char* DistributionName(Distribution d) {
   switch (d) {
     case Distribution::kUniform: return "uniform";
@@ -100,12 +87,18 @@ const char* WeightModeName(WeightMode m) {
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int seeds = static_cast<int>(flags.GetInt("seeds", 20));
-  const std::vector<int> sizes =
-      ParseSizes(flags.GetString("sizes", "64,256"));
+  const std::vector<size_t> sizes = flags.GetSizeList("sizes", "64,256");
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
   const int resolution = static_cast<int>(flags.GetInt("resolution", 64));
   flags.WarnUnused(stderr);
   if (flags.ReportMalformed(stderr) > 0) return 2;
+  for (const size_t size : sizes) {
+    if (size == 0 || size > static_cast<size_t>(INT_MAX)) {
+      std::fprintf(stderr, "error: --sizes=%zu is out of range [1, %d]\n",
+                   size, INT_MAX);
+      return 2;
+    }
+  }
   const Rect bounds(0, 0, 10000, 10000);
   const Distribution kDistributions[] = {Distribution::kUniform,
                                          Distribution::kGaussianClusters,
@@ -122,7 +115,8 @@ int Main(int argc, char** argv) {
   Tally t_pipeline_mbrb{"pipeline/mbrb"};
 
   for (int seed = 1; seed <= seeds; ++seed) {
-    for (const int size : sizes) {
+    for (const size_t n : sizes) {
+      const int size = static_cast<int>(n);
       for (const Distribution dist : kDistributions) {
         const std::string where =
             AuditStrFormat("seed=%d n=%d %s", seed, size,
