@@ -6,8 +6,13 @@
 // Harnessed (DESIGN.md §10). Extra flags:
 //   --problems=1000,5000,10000,50000  --epsilons=1e-2,1e-3,1e-4
 //   --ablate (adds bound-only / prefilter-only cases)
-// With --threads=N > 1 the fig10_parallel bench adds CB serial-vs-parallel
-// cases (shared atomic cost bound).
+// The variants that use the cost bound (cb, and the ablation's
+// bound_only/prefilter_only) run on one thread whatever --threads says:
+// with more, the point at which the shared bound tightens depends on
+// scheduling, so the gated `iterations` metric would vary from run to run
+// (115-117 and 146-160 at --threads=2 on one build). With --threads=N > 1
+// the fig10_parallel bench adds CB serial-vs-parallel cases (shared atomic
+// cost bound), whose gated metric is the deterministic cost.
 
 #include "bench/bench_common.h"
 #include "fermat/batch.h"
@@ -72,7 +77,7 @@ BENCH(fig10_cost_bound) {
                           .Param("epsilon", eps);
       const Summary& cb_wall = ctx.Measure(cb, [&] {
         r = RunBatch(ctx, problems, eps, /*cost_bound=*/true,
-                     /*prefilter=*/true, ctx.threads());
+                     /*prefilter=*/true, /*threads=*/1);
       });
       cb.Metric("cost", r.cost);
       cb.Metric("iterations", static_cast<double>(r.total_iterations));
@@ -106,7 +111,7 @@ BENCH(fig10_ablation) {
       BatchResult r;
       ctx.Measure(c, [&] {
         r = RunBatch(ctx, problems, eps, v.bound, v.prefilter,
-                     ctx.threads());
+                     /*threads=*/1);
       });
       c.Metric("cost", r.cost);
       c.Metric("iterations", static_cast<double>(r.total_iterations));

@@ -67,8 +67,8 @@ void Render(const MolqQuery& query, const MolqResult& result,
   const char* colors[] = {"#1f77b4", "#2ca02c", "#d62728"};
   // Voronoi cells of the first type for context.
   const Movd basic = BuildBasicMovd(query, 0, kCity, 128);
-  for (const Ovr& ovr : basic.ovrs) {
-    for (const ConvexPolygon& piece : ovr.region.pieces()) {
+  for (const OvrView ovr : basic.ovrs) {
+    for (const PieceView piece : ovr.region.pieces()) {
       svg.AddPolygon(piece, "none", "#cccccc", 0.5);
     }
   }

@@ -88,7 +88,7 @@ void RenderOverlap(const std::string& path) {
 
   SvgWriter svg(kWorld, 640);
   for (size_t i = 0; i < overlap.ovrs.size(); ++i) {
-    for (const ConvexPolygon& piece : overlap.ovrs[i].region.pieces()) {
+    for (const PieceView piece : overlap.ovrs[i].region.pieces()) {
       svg.AddPolygon(piece, Palette(i), "#333333", 0.8, 0.5);
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "geom/point.h"
 
@@ -10,11 +11,11 @@ namespace movd {
 namespace {
 
 // Distance from `p` to the boundary of a convex CCW polygon; 0 when inside.
-double DistanceToConvex(const ConvexPolygon& poly, const Point& p) {
+double DistanceToConvex(PieceView poly, const Point& p) {
   if (poly.Empty()) return std::numeric_limits<double>::infinity();
   if (poly.Contains(p)) return 0.0;
   double best = std::numeric_limits<double>::infinity();
-  const auto& v = poly.vertices();
+  const std::span<const Point> v = poly.vertices();
   for (size_t i = 0; i < v.size(); ++i) {
     const Point& a = v[i];
     const Point& b = v[(i + 1) % v.size()];
@@ -28,9 +29,9 @@ double DistanceToConvex(const ConvexPolygon& poly, const Point& p) {
 }
 
 // Distance from `p` to a region (union of convex pieces); 0 when inside.
-double DistanceToRegion(const Region& region, const Point& p) {
+double DistanceToRegion(RegionView region, const Point& p) {
   double best = std::numeric_limits<double>::infinity();
-  for (const ConvexPolygon& piece : region.pieces()) {
+  for (const PieceView piece : region.pieces()) {
     best = std::min(best, DistanceToConvex(piece, p));
     if (best == 0.0) break;
   }
@@ -46,10 +47,10 @@ double DistanceToRegion(const Region& region, const Point& p) {
 // be finite, duplicate-free, CCW and convex up to `cross_tol` on the turn
 // cross products. A genuinely corrupted piece fails by orders of
 // magnitude, so the tolerances cost no detection power.
-void AuditClippedPiece(const ConvexPolygon& piece, size_t r, size_t p,
+void AuditClippedPiece(PieceView piece, size_t r, size_t p,
                        double area_tol, double cross_tol,
                        AuditReport* report) {
-  const std::vector<Point>& v = piece.vertices();
+  const std::span<const Point> v = piece.vertices();
   const size_t n = v.size();
   report->NoteChecks(1);
   if (n < 3) {
@@ -128,7 +129,7 @@ AuditReport AuditMovdOverlay(const Movd& result,
                          search_space.max_y + slack);
 
   for (size_t r = 0; r < result.ovrs.size(); ++r) {
-    const Ovr& ovr = result.ovrs[r];
+    const OvrView ovr = result.ovrs[r];
 
     // Poi list sorted and unique by (set, object).
     report.NoteChecks(1);
@@ -193,17 +194,16 @@ AuditReport AuditMovdOverlay(const Movd& result,
     for (size_t in = 0; in < inputs.size(); ++in) {
       const Movd& input = inputs[in];
       report.NoteChecks(1);
-      const Ovr* source = nullptr;
-      for (const Ovr& cand : input.ovrs) {
-        const bool subset = std::includes(ovr.pois.begin(), ovr.pois.end(),
-                                          cand.pois.begin(),
-                                          cand.pois.end());
-        if (subset && !cand.pois.empty()) {
-          source = &cand;
-          break;
-        }
-      }
-      if (source == nullptr) {
+      const auto found =
+          std::find_if(input.ovrs.begin(), input.ovrs.end(),
+                       [&](const OvrView cand) {
+                         return !cand.pois.empty() &&
+                                std::includes(ovr.pois.begin(),
+                                              ovr.pois.end(),
+                                              cand.pois.begin(),
+                                              cand.pois.end());
+                       });
+      if (found == input.ovrs.end()) {
         report.Add(AuditKind::kOverlaySource,
                    AuditStrFormat("OVR %zu matches no OVR of input %zu", r,
                                   in),
@@ -211,10 +211,10 @@ AuditReport AuditMovdOverlay(const Movd& result,
         continue;
       }
 
+      const OvrView source = *found;
       report.NoteChecks(1);
-      const Rect grown(source->mbr.min_x - slack, source->mbr.min_y - slack,
-                       source->mbr.max_x + slack,
-                       source->mbr.max_y + slack);
+      const Rect grown(source.mbr.min_x - slack, source.mbr.min_y - slack,
+                       source.mbr.max_x + slack, source.mbr.max_y + slack);
       if (!grown.Contains(ovr.mbr)) {
         report.Add(AuditKind::kOverlaySource,
                    AuditStrFormat("OVR %zu MBR leaks outside its input-%zu "
@@ -223,9 +223,9 @@ AuditReport AuditMovdOverlay(const Movd& result,
                    {static_cast<int64_t>(r), static_cast<int64_t>(in)});
       }
 
-      if (mode == BoundaryMode::kRealRegion && !source->region.Empty()) {
+      if (mode == BoundaryMode::kRealRegion && !source.region.Empty()) {
         for (size_t p = 0; p < ovr.region.pieces().size(); ++p) {
-          const ConvexPolygon& piece = ovr.region.pieces()[p];
+          const PieceView piece = ovr.region.pieces()[p];
           if (piece.Empty()) continue;
           // Rounding slivers (see AuditClippedPiece) have a near-zero area
           // denominator, so their centroid is numerically meaningless —
@@ -233,7 +233,7 @@ AuditReport AuditMovdOverlay(const Movd& result,
           if (std::abs(piece.Area()) <= area_tol) continue;
           report.NoteChecks(1);
           const Point c = piece.Centroid();
-          const double d = DistanceToRegion(source->region, c);
+          const double d = DistanceToRegion(source.region, c);
           if (d > containment_tol) {
             report.Add(
                 AuditKind::kOverlaySource,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,7 @@ bool PointSameBits(const Point& a, const Point& b) {
          DoubleBits(a.y) == DoubleBits(b.y);
 }
 
-std::string PoisString(const std::vector<PoiRef>& pois) {
+std::string PoisString(std::span<const PoiRef> pois) {
   std::string out = "[";
   for (size_t i = 0; i < pois.size(); ++i) {
     if (i > 0) out += " ";
@@ -36,9 +37,10 @@ std::string PoisString(const std::vector<PoiRef>& pois) {
 /// Names the first facet where the two OVRs diverge, filling `witness`
 /// with the diverging coordinates when the diff is geometric. Called only
 /// when !OvrBitIdentical(a, b).
-std::string DescribeOvrDiff(const Ovr& a, const Ovr& b,
+std::string DescribeOvrDiff(const OvrView& a, const OvrView& b,
                             std::vector<Point>* witness) {
-  if (a.pois != b.pois) {
+  if (!std::equal(a.pois.begin(), a.pois.end(), b.pois.begin(),
+                  b.pois.end())) {
     return "pois " + PoisString(a.pois) + " vs " + PoisString(b.pois);
   }
   if (!PointSameBits({a.mbr.min_x, a.mbr.min_y}, {b.mbr.min_x, b.mbr.min_y}) ||
@@ -49,15 +51,15 @@ std::string DescribeOvrDiff(const Ovr& a, const Ovr& b,
                           a.mbr.min_x, a.mbr.max_x, a.mbr.min_y, a.mbr.max_y,
                           b.mbr.min_x, b.mbr.max_x, b.mbr.min_y, b.mbr.max_y);
   }
-  const auto& ap = a.region.pieces();
-  const auto& bp = b.region.pieces();
+  const PieceRange ap = a.region.pieces();
+  const PieceRange bp = b.region.pieces();
   if (ap.size() != bp.size()) {
     return AuditStrFormat("region piece count %zu vs %zu", ap.size(),
                           bp.size());
   }
   for (size_t i = 0; i < ap.size(); ++i) {
-    const auto& av = ap[i].vertices();
-    const auto& bv = bp[i].vertices();
+    const std::span<const Point> av = ap[i].vertices();
+    const std::span<const Point> bv = bp[i].vertices();
     if (av.size() != bv.size()) {
       return AuditStrFormat("piece %zu vertex count %zu vs %zu", i,
                             av.size(), bv.size());
@@ -90,8 +92,8 @@ AuditReport AuditPatchedMovd(const Movd& patched, const Movd& rebuilt) {
   }
   const size_t n = std::min(patched.ovrs.size(), rebuilt.ovrs.size());
   for (size_t i = 0; i < n; ++i) {
-    const Ovr& a = patched.ovrs[i];
-    const Ovr& b = rebuilt.ovrs[i];
+    const OvrView a = patched.ovrs[i];
+    const OvrView b = rebuilt.ovrs[i];
     report.NoteChecks(1);
     if (OvrBitIdentical(a, b)) continue;
     std::vector<Point> witness;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "core/weighted_distance.h"
@@ -14,15 +15,31 @@
 namespace movd {
 namespace {
 
+std::span<const PoiRef> PoisOf(const OvrTable& ovrs, uint32_t i) {
+  return ovrs[i].pois;
+}
+
+// Hash and equality of OVR indices by their poi lists, read in place from
+// the table: the dedup set holds indices, never copies of the lists.
 struct PoiListHash {
-  size_t operator()(const std::vector<PoiRef>& pois) const {
+  const OvrTable* ovrs;
+  size_t operator()(uint32_t i) const {
     size_t h = 1469598103934665603ULL;
-    for (const PoiRef& p : pois) {
+    for (const PoiRef& p : PoisOf(*ovrs, i)) {
       h ^= (static_cast<size_t>(p.set) << 32) ^
            static_cast<size_t>(static_cast<uint32_t>(p.object));
       h *= 1099511628211ULL;
     }
     return h;
+  }
+};
+
+struct PoiListEqual {
+  const OvrTable* ovrs;
+  bool operator()(uint32_t a, uint32_t b) const {
+    const std::span<const PoiRef> pa = PoisOf(*ovrs, a);
+    const std::span<const PoiRef> pb = PoisOf(*ovrs, b);
+    return std::equal(pa.begin(), pa.end(), pb.begin(), pb.end());
   }
 };
 
@@ -36,10 +53,21 @@ double TwoPointPrefixCost(const std::vector<WeightedPoint>& points,
                       Distance(points[0].location, points[1].location);
 }
 
+// What happened to one OVR. Each worker writes only its OVR's slot; the
+// counters are summed from the slots afterwards, so the hot loop touches
+// no shared counter.
+enum class Fate : uint8_t {
+  kNotExamined,  // a duplicate, or skipped after the token fired
+  kPrefiltered,  // cut by the two-point prefilter
+  kPruned,       // cut by the cost bound mid-solve
+  kSolved,
+};
+
 struct OvrOutcome {
   Point location;
   double cost = 0.0;  // total cost (Fermat–Weber cost + constant offset)
-  bool solved = false;
+  uint32_t iterations = 0;
+  Fate fate = Fate::kNotExamined;
 };
 
 }  // namespace
@@ -59,10 +87,11 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
   // well-defined regardless of scheduling.
   std::vector<uint8_t> duplicate(n, 0);
   if (options.dedup_combinations) {
-    std::unordered_set<std::vector<PoiRef>, PoiListHash> seen;
+    std::unordered_set<uint32_t, PoiListHash, PoiListEqual> seen(
+        0, PoiListHash{&movd.ovrs}, PoiListEqual{&movd.ovrs});
     for (size_t i = 0; i < n; ++i) {
       MOVD_CHECK(!movd.ovrs[i].pois.empty());
-      if (!seen.insert(movd.ovrs[i].pois).second) {
+      if (!seen.insert(static_cast<uint32_t>(i)).second) {
         duplicate[i] = 1;
         ++result.stats.deduped;
       }
@@ -76,29 +105,25 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
   // thread count.
   std::atomic<double> bound{std::numeric_limits<double>::infinity()};
   std::vector<OvrOutcome> outcomes(n);
-  std::atomic<uint64_t> problems{0};
-  std::atomic<uint64_t> skipped_prefilter{0};
-  std::atomic<uint64_t> pruned_by_bound{0};
-  std::atomic<uint64_t> total_iterations{0};
 
   ParallelFor(options.exec.threads, n, [&](size_t i) {
     // Cancellation checkpoint (serving deadlines): once per claimed OVR.
     // The token latches, so after it fires every worker drains its
     // remaining iterations without doing work.
     if (TokenExpired(options.exec.cancel)) return;
-    const Ovr& ovr = movd.ovrs[i];
-    MOVD_CHECK(!ovr.pois.empty());
+    const std::span<const PoiRef> pois = movd.ovrs[i].pois;
+    MOVD_CHECK(!pois.empty());
     if (duplicate[i]) return;
-    problems.fetch_add(1, std::memory_order_relaxed);
+    OvrOutcome& outcome = outcomes[i];
 
     // One problem buffer per worker thread, reused across its OVRs.
     thread_local std::vector<WeightedPoint> points;
-    const double offset = BuildFermatWeberProblem(query, ovr.pois, &points);
+    const double offset = BuildFermatWeberProblem(query, pois, &points);
 
     if (options.use_two_point_prefilter && points.size() > 3 &&
         TwoPointPrefixCost(points, offset) >
             bound.load(std::memory_order_relaxed)) {
-      skipped_prefilter.fetch_add(1, std::memory_order_relaxed);
+      outcome.fate = Fate::kPrefiltered;
       return;
     }
 
@@ -111,21 +136,38 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
       fw.shared_bound_offset = offset;
     }
     const FermatWeberResult r = SolveFermatWeber(points, fw);
-    total_iterations.fetch_add(static_cast<uint64_t>(r.iterations),
-                               std::memory_order_relaxed);
+    outcome.iterations = static_cast<uint32_t>(r.iterations);
     if (r.pruned) {
-      pruned_by_bound.fetch_add(1, std::memory_order_relaxed);
+      outcome.fate = Fate::kPruned;
       return;
     }
-    const double total = r.cost + offset;
-    outcomes[i] = {r.location, total, true};
-    AtomicMinDouble(&bound, total);
+    outcome.location = r.location;
+    outcome.cost = r.cost + offset;
+    outcome.fate = Fate::kSolved;
+    AtomicMinDouble(&bound, outcome.cost);
   });
 
-  result.stats.problems = problems.load();
-  result.stats.skipped_prefilter = skipped_prefilter.load();
-  result.stats.pruned_by_bound = pruned_by_bound.load();
-  result.stats.total_iterations = total_iterations.load();
+  // One index-order pass sums the counters and finds the winner: minimum
+  // total cost, lowest OVR index on ties.
+  const OvrOutcome* winner = nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    const OvrOutcome& o = outcomes[i];
+    result.stats.total_iterations += o.iterations;
+    switch (o.fate) {
+      case Fate::kNotExamined:
+        continue;
+      case Fate::kPrefiltered:
+        ++result.stats.skipped_prefilter;
+        break;
+      case Fate::kPruned:
+        ++result.stats.pruned_by_bound;
+        break;
+      case Fate::kSolved:
+        if (winner == nullptr || o.cost < winner->cost) winner = &o;
+        break;
+    }
+    ++result.stats.problems;
+  }
   span.Counter("problems", static_cast<int64_t>(result.stats.problems));
   span.Counter("skipped_prefilter",
                static_cast<int64_t>(result.stats.skipped_prefilter));
@@ -140,20 +182,12 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
     result.cancelled = true;
     return result;
   }
-
-  // Deterministic reduction: minimum total cost, lowest OVR index on ties.
-  bool have_answer = false;
-  for (size_t i = 0; i < n; ++i) {
-    const OvrOutcome& o = outcomes[i];
-    if (!o.solved) continue;
-    if (!have_answer || o.cost < result.cost) {
-      have_answer = true;
-      result.cost = o.cost;
-      result.location = o.location;
-      result.group = movd.ovrs[i].pois;
-    }
-  }
-  MOVD_CHECK(have_answer);
+  MOVD_CHECK(winner != nullptr);
+  result.location = winner->location;
+  result.cost = winner->cost;
+  const std::span<const PoiRef> group =
+      movd.ovrs[static_cast<size_t>(winner - outcomes.data())].pois;
+  result.group.assign(group.begin(), group.end());
   return result;
 }
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "trace/trace.h"
 #include "util/check.h"
@@ -13,16 +15,14 @@
 namespace movd {
 namespace {
 
-// Merges two sorted poi lists (duplicates collapsed). In the MOVD algebra
-// the poi set of an overlap is the union of the operands' poi sets
-// (Algorithm 3 line 7 / Algorithm 4 line 6).
-std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
-                              const std::vector<PoiRef>& b) {
-  std::vector<PoiRef> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+// Merges two sorted poi lists into `out` (duplicates collapsed). In the
+// MOVD algebra the poi set of an overlap is the union of the operands' poi
+// sets (Algorithm 3 line 7 / Algorithm 4 line 6).
+void MergePois(std::span<const PoiRef> a, std::span<const PoiRef> b,
+               std::vector<PoiRef>* out) {
+  out->clear();
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(*out));
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 struct Event {
@@ -182,19 +182,21 @@ struct CandidatePair {
 };
 
 // Candidate pairs per intersection window. A window bounds the memory the
-// sweep holds beyond its output (pairs plus one result slot each) and is
+// sweep holds beyond its output (its pairs and their hits) and is
 // handed off as soon as it fills, even in the middle of one start event's
 // candidates, so an event that pairs with a whole operand never overruns
 // it.
 constexpr size_t kWindowPairs = size_t{1} << 15;
-// Pairs one worker claims at a time: amortises the shared claim counter.
+// Pairs one worker claims at a time: amortises the shared claim counter,
+// and the unit of the flat per-claim hit tables.
 constexpr size_t kPairsPerClaim = 256;
 
 // Intersects the sweep's candidate pairs, one window at a time, on
 // `threads` threads. Two windows alternate: pool workers intersect the
 // window in flight while the sweep fills the other, and the calling thread
-// helps finish the window in flight before it appends its hits. Pair i of
-// a window writes only slot i, and hits are appended in pair order, so the
+// helps finish the window in flight before it appends its hits. Each claim
+// of kPairsPerClaim pairs appends its hits, in pair order, to its own flat
+// table, and the claims' tables are concatenated in claim order, so the
 // output is the same for every thread count.
 class PairIntersector {
  public:
@@ -234,8 +236,7 @@ class PairIntersector {
  private:
   struct Window {
     std::vector<CandidatePair> pairs;
-    std::vector<Ovr> slots;
-    std::vector<uint8_t> hit;
+    std::vector<OvrTable> claims;  // hits of claim c; reused across windows
     std::atomic<size_t> next_claim{0};
   };
 
@@ -248,12 +249,11 @@ class PairIntersector {
     if (filling_->pairs.empty()) return true;
     std::swap(filling_, in_flight_);
     Window* w = in_flight_;
-    // Result slots grow to the largest window launched, so a small overlap
-    // (a live-update refold) does not build a full window of empty OVRs.
-    if (w->slots.size() < w->pairs.size()) {
-      w->slots.resize(w->pairs.size());
-      w->hit.resize(w->pairs.size());
-    }
+    // Claim tables grow to the largest window launched, so a small overlap
+    // (a live-update refold) does not build a full window of them.
+    const size_t claims = (w->pairs.size() + kPairsPerClaim - 1) /
+                          kPairsPerClaim;
+    if (w->claims.size() < claims) w->claims.resize(claims);
     w->next_claim.store(0, std::memory_order_relaxed);
     for (int t = 0; t < workers_; ++t) pool_.Submit([this, w] { Drain(w); });
     ++launched_;
@@ -269,10 +269,11 @@ class PairIntersector {
     Drain(w);
     pool_.Wait();
     const size_t n = w->pairs.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (!w->hit[i]) continue;
-      result_->ovrs.push_back(std::move(w->slots[i]));
-      ++hits_;
+    for (size_t c = 0; c * kPairsPerClaim < n; ++c) {
+      OvrTable& hits = w->claims[c];
+      result_->ovrs.Append(hits);
+      hits_ += hits.size();
+      hits.clear();
     }
     intersected_ += n;
     w->pairs.clear();
@@ -285,12 +286,12 @@ class PairIntersector {
                                                 std::memory_order_relaxed)) <
                    n;) {
       const size_t end = std::min(n, c + kPairsPerClaim);
+      OvrTable* hits = &w->claims[c / kPairsPerClaim];
       for (size_t i = c; i < end; ++i) {
         const CandidatePair& p = w->pairs[i];
         const Movd& self = p.self_from_a ? a_ : b_;
         const Movd& other = p.self_from_a ? b_ : a_;
-        w->hit[i] = IntersectOvrPair(self.ovrs[p.self], other.ovrs[p.cand],
-                                     mode_, &w->slots[i]);
+        IntersectOvrPair(self.ovrs[p.self], other.ovrs[p.cand], mode_, hits);
       }
     }
   }
@@ -384,34 +385,34 @@ Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
   return acc;
 }
 
-bool IntersectOvrPair(const Ovr& x, const Ovr& y, BoundaryMode mode,
-                      Ovr* out) {
+bool IntersectOvrPair(const OvrView& x, const OvrView& y, BoundaryMode mode,
+                      OvrTable* out) {
+  thread_local std::vector<PoiRef> pois;  // the merged list, reused
   if (mode == BoundaryMode::kMbr) {
     // Algorithm 4: MBR intersection only. Callers guarantee x/y range
     // overlap, so the rectangle intersection is non-empty.
-    out->mbr = x.mbr.Intersect(y.mbr);
-    out->region = Region();
-    out->pois = MergePois(x.pois, y.pois);
+    MergePois(x.pois, y.pois, &pois);
+    out->CommitOvr(x.mbr.Intersect(y.mbr), pois);
     return true;
   }
-  // Algorithm 3: real region intersection.
-  Region region = Region::Intersect(x.region, y.region);
-  if (region.Empty()) return false;
-  out->mbr = region.Bbox();
-  out->region = std::move(region);
-  out->pois = MergePois(x.pois, y.pois);
+  // Algorithm 3: real region intersection, clipped straight into the
+  // output's vertex pool.
+  if (AppendRegionIntersection(x.region, y.region,
+                               Region::kDefaultMinPieceArea,
+                               out->mutable_pieces()) == 0) {
+    return false;
+  }
+  MergePois(x.pois, y.pois, &pois);
+  out->CommitOvr(out->PendingRegion().Bbox(), pois);
   return true;
 }
 
 Movd OverlapBruteForce(const Movd& a, const Movd& b, BoundaryMode mode) {
   Movd result;
-  for (const Ovr& x : a.ovrs) {
-    for (const Ovr& y : b.ovrs) {
+  for (const OvrView x : a.ovrs) {
+    for (const OvrView y : b.ovrs) {
       if (!x.mbr.Intersects(y.mbr)) continue;
-      Ovr out;
-      if (IntersectOvrPair(x, y, mode, &out)) {
-        result.ovrs.push_back(std::move(out));
-      }
+      IntersectOvrPair(x, y, mode, &result.ovrs);
     }
   }
   return result;

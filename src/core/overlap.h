@@ -32,9 +32,10 @@ struct OverlapStats {
 /// for n input OVRs and k candidate pairs. The sweep runs serially on the
 /// calling thread and emits candidate pairs in a fixed order into bounded
 /// windows. With `threads` > 1 (0 = one per hardware thread), `threads` − 1
-/// pool workers intersect one window while the sweep fills the next, each
-/// pair into its own slot, and the hits are appended in pair order. The
-/// result and `stats` are identical for every `threads`.
+/// pool workers intersect one window while the sweep fills the next; each
+/// claimed block of pairs clips into its own flat table, and the blocks are
+/// concatenated in pair order. The result and `stats` are identical for
+/// every `threads`.
 ///
 /// `cancel` (serving deadlines): polled once per block of 1024 sweep events
 /// and once per intersection window. A fired token aborts the sweep and
@@ -60,10 +61,12 @@ Movd OverlapBruteForce(const Movd& a, const Movd& b, BoundaryMode mode);
 
 /// The per-pair boundary handler shared by the in-memory sweep, the brute
 /// force, and the disk-based streaming overlap: intersects one candidate
-/// pair under `mode` (Algorithm 3 line 5 vs Algorithm 4 line 5) and merges
-/// the poi lists. Returns false when the RRB intersection is empty.
-bool IntersectOvrPair(const Ovr& x, const Ovr& y, BoundaryMode mode,
-                      Ovr* out);
+/// pair under `mode` (Algorithm 3 line 5 vs Algorithm 4 line 5), merges
+/// the poi lists and appends the result to `out`, writing the clipped
+/// pieces straight into its vertex pool. Returns false, appending nothing,
+/// when the RRB intersection is empty. `out` must not hold x or y.
+bool IntersectOvrPair(const OvrView& x, const OvrView& y, BoundaryMode mode,
+                      OvrTable* out);
 
 }  // namespace movd
 

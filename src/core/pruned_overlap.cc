@@ -25,7 +25,7 @@ double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
 }
 
 double CombinationLowerBound(const MolqQuery& query,
-                             const std::vector<PoiRef>& pois) {
+                             std::span<const PoiRef> pois) {
   // Decompose each member as WD_i(l) = a_i * d(l, p_i) + b_i.
   struct Term {
     Point location;
@@ -71,17 +71,17 @@ Movd OverlapAllPruned(const MolqQuery& query, const std::vector<Movd>& inputs,
                   /*cancel=*/nullptr, threads);
     // Filter combinations whose lower bound already exceeds the seed: no
     // location, and no extension by further types, can make them optimal.
-    std::vector<Ovr> kept;
+    std::vector<uint32_t> kept;
     kept.reserve(acc.ovrs.size());
-    for (Ovr& ovr : acc.ovrs) {
-      if (CombinationLowerBound(query, ovr.pois) > upper_bound) {
+    for (size_t k = 0; k < acc.ovrs.size(); ++k) {
+      if (CombinationLowerBound(query, acc.ovrs[k].pois) > upper_bound) {
         if (stats != nullptr) ++stats->pruned_ovrs;
         span.Counter("pruned_ovrs", 1);
         continue;
       }
-      kept.push_back(std::move(ovr));
+      kept.push_back(static_cast<uint32_t>(k));
     }
-    acc.ovrs = std::move(kept);
+    acc.ovrs = acc.ovrs.Gather(kept);
     MOVD_CHECK(!acc.ovrs.empty());  // the seed location's OVR survives
   }
   return acc;

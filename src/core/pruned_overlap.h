@@ -1,6 +1,8 @@
 #ifndef MOVD_CORE_PRUNED_OVERLAP_H_
 #define MOVD_CORE_PRUNED_OVERLAP_H_
 
+#include <span>
+
 #include "model/movd_model.h"
 #include "model/object.h"
 #include "core/overlap.h"
@@ -43,7 +45,7 @@ double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
 
 /// The pairwise lower bound lb(G) described above, for an OVR's poi list.
 double CombinationLowerBound(const MolqQuery& query,
-                             const std::vector<PoiRef>& pois);
+                             std::span<const PoiRef> pois);
 
 }  // namespace movd
 

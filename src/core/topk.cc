@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "core/pruned_overlap.h"
 #include "core/weighted_distance.h"
@@ -31,10 +32,13 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   // any k. A group seen again (MBRB duplicates) re-solves to the same
   // cost: it is either ranked already (the insert finds its key) or was
   // evicted or pruned, and the bound, which only decreases, rejects it.
-  const auto precedes = [](double cost, const std::vector<PoiRef>& group,
+  const auto precedes = [](double cost, std::span<const PoiRef> group,
                            const RankedLocation& entry) {
     return cost < entry.cost ||
-           (!(entry.cost < cost) && group < entry.group);
+           (!(entry.cost < cost) &&
+            std::lexicographical_compare(group.begin(), group.end(),
+                                         entry.group.begin(),
+                                         entry.group.end()));
   };
   const auto before = [&](const RankedLocation& a, const RankedLocation& b) {
     return precedes(a.cost, a.group, b);
@@ -46,7 +50,7 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   std::atomic<double> kth_bound{std::numeric_limits<double>::infinity()};
   std::vector<WeightedPoint> points;
 
-  for (const Ovr& ovr : movd.ovrs) {
+  for (const OvrView ovr : movd.ovrs) {
     // Cancellation checkpoint (serving deadlines): once per OVR. A fired
     // token discards the partial ranking — a truncated scan could rank
     // wrong answers into the top k.
@@ -69,7 +73,10 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
     if (best.size() == k && !precedes(cost, ovr.pois, *best.rbegin())) {
       continue;
     }
-    if (!best.insert({r.location, cost, ovr.pois}).second) continue;
+    if (!best.insert({r.location, cost, {ovr.pois.begin(), ovr.pois.end()}})
+             .second) {
+      continue;
+    }
     if (best.size() > k) best.erase(std::prev(best.end()));
     if (best.size() == k) {
       kth_bound.store(best.rbegin()->cost, std::memory_order_relaxed);

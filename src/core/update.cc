@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -111,7 +110,7 @@ bool PatchOverlay(const Movd& overlay, const std::vector<int32_t>& key_layers,
   }
   std::vector<bool> changed(new_basic.ovrs.size(), true);
   std::unordered_set<int32_t> unchanged;  // old object indices
-  for (const Ovr& cell : old_basic.ovrs) {
+  for (const OvrView cell : old_basic.ovrs) {
     const int32_t object = cell.pois.front().object;
     if (object == deleted_object) continue;
     const auto it = new_cell_of.find(renumbered(object));
@@ -125,15 +124,16 @@ bool PatchOverlay(const Movd& overlay, const std::vector<int32_t>& key_layers,
   // 2. Combos over an unchanged cell are exactly what a refold would
   // produce for them: keep them, renumbered.
   out->ovrs.clear();
-  for (const Ovr& ovr : overlay.ovrs) {
+  std::vector<PoiRef> pois;  // a kept OVR's renumbered poi list
+  for (const OvrView ovr : overlay.ovrs) {
     const auto poi =
         std::find_if(ovr.pois.begin(), ovr.pois.end(),
                      [&](const PoiRef& r) { return r.set == mutated_layer; });
     if (poi == ovr.pois.end() || unchanged.count(poi->object) == 0) continue;
-    Ovr kept = ovr;
-    kept.pois[static_cast<size_t>(poi - ovr.pois.begin())].object =
+    pois.assign(ovr.pois.begin(), ovr.pois.end());
+    pois[static_cast<size_t>(poi - ovr.pois.begin())].object =
         renumbered(poi->object);
-    out->ovrs.push_back(std::move(kept));
+    out->ovrs.push_back({ovr.mbr, pois, ovr.region});
   }
   const size_t retained = out->ovrs.size();
 
@@ -157,13 +157,13 @@ bool PatchOverlay(const Movd& overlay, const std::vector<int32_t>& key_layers,
         continue;
       }
       Movd peers;
-      for (const Ovr& cell : basics[i]->ovrs) {
+      for (const OvrView cell : basics[i]->ovrs) {
         if (cell.mbr.Intersects(dirty)) peers.ovrs.push_back(cell);
       }
       acc = Overlap(acc, peers, mode);
     }
     recomputed = acc.ovrs.size();
-    std::move(acc.ovrs.begin(), acc.ovrs.end(), std::back_inserter(out->ovrs));
+    out->ovrs.Append(acc.ovrs);
   }
 
   // 4. One canonical order for patched and rebuilt overlays alike.

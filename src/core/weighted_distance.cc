@@ -99,7 +99,7 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
 }
 
 double BuildFermatWeberProblem(const MolqQuery& query,
-                               const std::vector<PoiRef>& group,
+                               std::span<const PoiRef> group,
                                std::vector<WeightedPoint>* points) {
   points->clear();
   double offset = 0.0;

@@ -1,6 +1,7 @@
 #ifndef MOVD_CORE_WEIGHTED_DISTANCE_H_
 #define MOVD_CORE_WEIGHTED_DISTANCE_H_
 
+#include <span>
 #include <vector>
 
 #include "fermat/fermat_weber.h"
@@ -51,7 +52,7 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
 /// groups). Returns the sum of the constant offsets, accumulated in group
 /// order; WGD(q, group) = FermatWeberCost(*points, q) + that sum.
 double BuildFermatWeberProblem(const MolqQuery& query,
-                               const std::vector<PoiRef>& group,
+                               std::span<const PoiRef> group,
                                std::vector<WeightedPoint>* points);
 
 }  // namespace movd

@@ -16,7 +16,7 @@ void Dedup(std::vector<Point>* pts) {
   while (pts->size() > 1 && pts->front() == pts->back()) pts->pop_back();
 }
 
-double RingSignedArea(const std::vector<Point>& v) {
+double RingSignedArea(std::span<const Point> v) {
   double area2 = 0.0;
   for (size_t i = 0, n = v.size(); i < n; ++i) {
     const Point& p = v[i];
@@ -48,7 +48,84 @@ bool PointInTriangle(const Point& a, const Point& b, const Point& c,
          Orient2D(c, a, p) >= 0.0;
 }
 
+// Clips ring `in` (non-empty) against the half-plane to the left of the
+// directed line a->b into `out`, collapsing duplicate vertices; a result
+// with fewer than 3 vertices is cleared. The one half-plane clip kernel.
+void ClipRing(std::span<const Point> in, const Point& a, const Point& b,
+              std::vector<Point>* out) {
+  out->clear();
+  const size_t n = in.size();
+  double side_p = Orient2D(a, b, in[0]);
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = in[i];
+    const Point& q = in[(i + 1) % n];
+    const double side_q = Orient2D(a, b, q);
+    if (side_p >= 0.0) {
+      out->push_back(p);
+      if (side_q < 0.0) out->push_back(LineSegmentCross(a, b, p, q));
+    } else if (side_q >= 0.0) {
+      out->push_back(LineSegmentCross(a, b, p, q));
+    }
+    side_p = side_q;
+  }
+  Dedup(out);
+  if (out->size() < 3) out->clear();
+}
+
+// The convex clip a ∩ b (a clipped by every edge of b), computed without
+// allocating: the half-plane passes ping-pong between two per-thread
+// scratch rings. The returned ring (empty, or >= 3 vertices) stays valid
+// until the calling thread's next call. ConvexPolygon::Intersect and the
+// region intersection both run on it, so they agree bit for bit.
+std::span<const Point> ClipRings(std::span<const Point> a,
+                                 std::span<const Point> b) {
+  thread_local std::vector<Point> ping;
+  thread_local std::vector<Point> pong;
+  std::span<const Point> current = a;
+  std::vector<Point>* next = &ping;
+  std::vector<Point>* spare = &pong;
+  for (size_t i = 0, n = b.size(); i < n && current.size() >= 3; ++i) {
+    ClipRing(current, b[i], b[(i + 1) % n], next);
+    current = *next;
+    std::swap(next, spare);
+  }
+  return current;
+}
+
 }  // namespace
+
+double PieceView::Area() const {
+  return Empty() ? 0.0 : std::fabs(RingSignedArea(vertices_));
+}
+
+Point PieceView::Centroid() const {
+  MOVD_CHECK(!Empty());
+  double cx = 0.0, cy = 0.0, area2 = 0.0;
+  for (size_t i = 0, n = vertices_.size(); i < n; ++i) {
+    const Point& p = vertices_[i];
+    const Point& q = vertices_[(i + 1) % n];
+    const double w = p.Cross(q);
+    cx += (p.x + q.x) * w;
+    cy += (p.y + q.y) * w;
+    area2 += w;
+  }
+  if (area2 == 0.0) return vertices_[0];  // degenerate: any vertex
+  return Point(cx / (3.0 * area2), cy / (3.0 * area2));
+}
+
+Rect PieceView::Bbox() const {
+  Rect r;
+  for (const Point& p : vertices_) r.Expand(p);
+  return r;
+}
+
+bool PieceView::Contains(const Point& p) const {
+  if (Empty()) return false;
+  for (size_t i = 0, n = vertices_.size(); i < n; ++i) {
+    if (Orient2D(vertices_[i], vertices_[(i + 1) % n], p) < 0.0) return false;
+  }
+  return true;
+}
 
 ConvexPolygon::ConvexPolygon(std::vector<Point> vertices)
     : vertices_(std::move(vertices)) {
@@ -80,71 +157,18 @@ ConvexPolygon ConvexPolygon::FromRect(const Rect& r) {
                         {r.min_x, r.max_y}});
 }
 
-ConvexPolygon ConvexPolygon::Intersect(const ConvexPolygon& a,
-                                       const ConvexPolygon& b) {
+ConvexPolygon ConvexPolygon::Intersect(PieceView a, PieceView b) {
   if (a.Empty() || b.Empty()) return ConvexPolygon();
   if (!a.Bbox().Intersects(b.Bbox())) return ConvexPolygon();
-  ConvexPolygon out = a;
-  const auto& bv = b.vertices();
-  for (size_t i = 0, n = bv.size(); i < n && !out.Empty(); ++i) {
-    out.ClipByHalfPlane(bv[i], bv[(i + 1) % n]);
-  }
-  return out;
-}
-
-double ConvexPolygon::Area() const {
-  return Empty() ? 0.0 : std::fabs(RingSignedArea(vertices_));
-}
-
-Point ConvexPolygon::Centroid() const {
-  MOVD_CHECK(!Empty());
-  double cx = 0.0, cy = 0.0, area2 = 0.0;
-  for (size_t i = 0, n = vertices_.size(); i < n; ++i) {
-    const Point& p = vertices_[i];
-    const Point& q = vertices_[(i + 1) % n];
-    const double w = p.Cross(q);
-    cx += (p.x + q.x) * w;
-    cy += (p.y + q.y) * w;
-    area2 += w;
-  }
-  if (area2 == 0.0) return vertices_[0];  // degenerate: any vertex
-  return Point(cx / (3.0 * area2), cy / (3.0 * area2));
-}
-
-Rect ConvexPolygon::Bbox() const {
-  Rect r;
-  for (const Point& p : vertices_) r.Expand(p);
-  return r;
-}
-
-bool ConvexPolygon::Contains(const Point& p) const {
-  if (Empty()) return false;
-  for (size_t i = 0, n = vertices_.size(); i < n; ++i) {
-    if (Orient2D(vertices_[i], vertices_[(i + 1) % n], p) < 0.0) return false;
-  }
-  return true;
+  const std::span<const Point> ring = ClipRings(a.vertices(), b.vertices());
+  return FromTrustedRing(std::vector<Point>(ring.begin(), ring.end()));
 }
 
 void ConvexPolygon::ClipByHalfPlane(const Point& a, const Point& b) {
   if (Empty()) return;
   std::vector<Point> out;
   out.reserve(vertices_.size() + 1);
-  const size_t n = vertices_.size();
-  double side_p = Orient2D(a, b, vertices_[0]);
-  for (size_t i = 0; i < n; ++i) {
-    const Point& p = vertices_[i];
-    const Point& q = vertices_[(i + 1) % n];
-    const double side_q = Orient2D(a, b, q);
-    if (side_p >= 0.0) {
-      out.push_back(p);
-      if (side_q < 0.0) out.push_back(LineSegmentCross(a, b, p, q));
-    } else if (side_q >= 0.0) {
-      out.push_back(LineSegmentCross(a, b, p, q));
-    }
-    side_p = side_q;
-  }
-  Dedup(&out);
-  if (out.size() < 3) out.clear();
+  ClipRing(vertices_, a, b, &out);
   vertices_ = std::move(out);
 }
 
@@ -248,9 +272,65 @@ std::vector<ConvexPolygon> Polygon::Triangulate() const {
   return out;
 }
 
-Region Region::FromConvex(ConvexPolygon piece) {
+uint32_t CheckedOffset(size_t n) {
+  MOVD_CHECK_MSG(n <= UINT32_MAX,
+                 "a piece pool or OVR table outgrew its 32-bit offsets");
+  return static_cast<uint32_t>(n);
+}
+
+void PiecePool::Append(std::span<const Point> ring) {
+  vertices.append(ring.data(), ring.size());
+  starts.push_back(CheckedOffset(vertices.size()));
+}
+
+void PiecePool::Clear() {
+  vertices.clear();
+  starts.clear();
+  starts.push_back(0);
+}
+
+double RegionView::Area() const {
+  double a = 0.0;
+  for (const PieceView p : pieces()) a += p.Area();
+  return a;
+}
+
+Rect RegionView::Bbox() const {
+  Rect r;
+  for (const PieceView p : pieces()) r.Expand(p.Bbox());
+  return r;
+}
+
+bool RegionView::Contains(const Point& p) const {
+  for (const PieceView piece : pieces()) {
+    if (piece.Contains(p)) return true;
+  }
+  return false;
+}
+
+size_t AppendRegionIntersection(RegionView a, RegionView b, double min_area,
+                                PiecePool* out) {
+  size_t appended = 0;
+  for (const PieceView pa : a.pieces()) {
+    if (pa.Empty()) continue;
+    const Rect ba = pa.Bbox();
+    for (const PieceView pb : b.pieces()) {
+      if (pb.Empty() || !ba.Intersects(pb.Bbox())) continue;
+      const std::span<const Point> ring =
+          ClipRings(pa.vertices(), pb.vertices());
+      // Boundary-only slivers are dropped (a NaN area is kept, as
+      // ConvexPolygon::DropIfSliver keeps it).
+      if (ring.size() < 3 || PieceView(ring).Area() < min_area) continue;
+      out->Append(ring);
+      ++appended;
+    }
+  }
+  return appended;
+}
+
+Region Region::FromConvex(PieceView piece) {
   Region r;
-  if (!piece.Empty()) r.pieces_.push_back(std::move(piece));
+  if (!piece.Empty()) r.pool_.Append(piece.vertices());
   return r;
 }
 
@@ -259,60 +339,33 @@ Region Region::FromPolygon(const Polygon& polygon) {
   if (polygon.IsConvex()) {
     return FromConvex(ConvexPolygon(polygon.vertices()));
   }
-  Region r;
-  r.pieces_ = polygon.Triangulate();
-  return r;
+  return FromPieces(polygon.Triangulate());
 }
 
 Region Region::FromRect(const Rect& r) {
   return FromConvex(ConvexPolygon::FromRect(r));
 }
 
-Region Region::FromPieces(std::vector<ConvexPolygon> pieces) {
+Region Region::FromPieces(const std::vector<ConvexPolygon>& pieces) {
   Region r;
-  for (ConvexPolygon& piece : pieces) {
-    if (!piece.Empty()) r.pieces_.push_back(std::move(piece));
+  for (const ConvexPolygon& piece : pieces) {
+    if (!piece.Empty()) r.pool_.Append(piece.vertices());
   }
   return r;
 }
 
-Region Region::Intersect(const Region& a, const Region& b, double min_area) {
+Region Region::FromView(RegionView view) {
+  Region r;
+  for (const PieceView piece : view.pieces()) {
+    if (!piece.Empty()) r.pool_.Append(piece.vertices());
+  }
+  return r;
+}
+
+Region Region::Intersect(RegionView a, RegionView b, double min_area) {
   Region out;
-  for (const ConvexPolygon& pa : a.pieces_) {
-    const Rect ba = pa.Bbox();
-    for (const ConvexPolygon& pb : b.pieces_) {
-      if (!ba.Intersects(pb.Bbox())) continue;
-      ConvexPolygon piece = ConvexPolygon::Intersect(pa, pb);
-      piece.DropIfSliver(min_area);
-      if (!piece.Empty()) out.pieces_.push_back(std::move(piece));
-    }
-  }
+  AppendRegionIntersection(a, b, min_area, &out.pool_);
   return out;
-}
-
-double Region::Area() const {
-  double a = 0.0;
-  for (const ConvexPolygon& p : pieces_) a += p.Area();
-  return a;
-}
-
-Rect Region::Bbox() const {
-  Rect r;
-  for (const ConvexPolygon& p : pieces_) r.Expand(p.Bbox());
-  return r;
-}
-
-size_t Region::VertexCount() const {
-  size_t n = 0;
-  for (const ConvexPolygon& p : pieces_) n += p.VertexCount();
-  return n;
-}
-
-bool Region::Contains(const Point& p) const {
-  for (const ConvexPolygon& piece : pieces_) {
-    if (piece.Contains(p)) return true;
-  }
-  return false;
 }
 
 }  // namespace movd

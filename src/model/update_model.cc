@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <span>
+#include <vector>
 
 namespace movd {
 namespace {
@@ -32,25 +35,32 @@ bool RectBitIdentical(const Rect& a, const Rect& b) {
 }  // namespace
 
 void CanonicalizeOvrOrder(Movd* movd) {
-  std::sort(movd->ovrs.begin(), movd->ovrs.end(),
-            [](const Ovr& a, const Ovr& b) {
-              return std::lexicographical_compare(
-                  a.pois.begin(), a.pois.end(), b.pois.begin(), b.pois.end());
-            });
+  const OvrTable& ovrs = movd->ovrs;
+  std::vector<uint32_t> order(ovrs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const std::span<const PoiRef> pa = ovrs[a].pois;
+    const std::span<const PoiRef> pb = ovrs[b].pois;
+    return std::lexicographical_compare(pa.begin(), pa.end(), pb.begin(),
+                                        pb.end());
+  });
+  movd->ovrs = ovrs.Gather(order);
 }
 
-bool OvrBitIdentical(const Ovr& a, const Ovr& b) {
-  return a.pois == b.pois && OvrGeometryBitIdentical(a, b);
+bool OvrBitIdentical(const OvrView& a, const OvrView& b) {
+  return std::equal(a.pois.begin(), a.pois.end(), b.pois.begin(),
+                    b.pois.end()) &&
+         OvrGeometryBitIdentical(a, b);
 }
 
-bool OvrGeometryBitIdentical(const Ovr& a, const Ovr& b) {
+bool OvrGeometryBitIdentical(const OvrView& a, const OvrView& b) {
   if (!RectBitIdentical(a.mbr, b.mbr)) return false;
-  const auto& pa = a.region.pieces();
-  const auto& pb = b.region.pieces();
+  const PieceRange pa = a.region.pieces();
+  const PieceRange pb = b.region.pieces();
   if (pa.size() != pb.size()) return false;
   for (size_t i = 0; i < pa.size(); ++i) {
-    const auto& va = pa[i].vertices();
-    const auto& vb = pb[i].vertices();
+    const std::span<const Point> va = pa[i].vertices();
+    const std::span<const Point> vb = pb[i].vertices();
     if (va.size() != vb.size()) return false;
     for (size_t j = 0; j < va.size(); ++j) {
       if (!PointBitIdentical(va[j], vb[j])) return false;

@@ -23,7 +23,8 @@ struct SiteMutation {
   Point location;
 };
 
-/// Sorts `movd->ovrs` into the canonical order: lexicographically by the
+/// Puts `movd->ovrs` into the canonical order (a sorted index permutation,
+/// then one gather into an exactly-sized table): lexicographically by the
 /// poi vector (which is unique per OVR — an object combination appears at
 /// most once in an overlay, and a basic MOVD has one OVR per site).
 ///
@@ -41,13 +42,13 @@ void CanonicalizeOvrOrder(Movd* movd);
 /// (so -0.0 != +0.0 and NaNs compare by payload — "same bytes", not
 /// "same value"). This is the equality the patched-vs-rebuilt audit
 /// validator (src/audit/audit_update.h) certifies.
-bool OvrBitIdentical(const Ovr& a, const Ovr& b);
+bool OvrBitIdentical(const OvrView& a, const OvrView& b);
 
 /// OvrBitIdentical minus the poi comparison: identical MBR and region
 /// bytes only. The overlay patcher uses this to match a layer's cells
 /// across a deletion, where the surviving cells keep their geometry but
 /// their object indices shift down by one.
-bool OvrGeometryBitIdentical(const Ovr& a, const Ovr& b);
+bool OvrGeometryBitIdentical(const OvrView& a, const OvrView& b);
 
 /// Exact byte equality of two MOVDs: same OVR count and OvrBitIdentical
 /// pairwise in order. Compare canonicalised artifacts (or two basic MOVDs,

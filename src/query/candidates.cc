@@ -1,7 +1,9 @@
 #include "query/candidates.h"
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <span>
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
@@ -12,7 +14,7 @@
 namespace movd {
 
 std::vector<double> CandidateCriteria(const MolqQuery& query,
-                                      const std::vector<PoiRef>& group,
+                                      std::span<const PoiRef> group,
                                       const Point& location) {
   std::vector<double> criteria;
   criteria.reserve(group.size());
@@ -38,12 +40,17 @@ StatusCode EnumerateCandidates(const MolqQuery& query, const Movd& movd,
 
   // Distinct combinations in first-seen OVR order; the scan order of a
   // given MOVD is deterministic, so so is the slot assignment below.
-  std::set<std::vector<PoiRef>> seen;
-  std::vector<const std::vector<PoiRef>*> groups;
-  for (const Ovr& ovr : movd.ovrs) {
+  const auto before = [](std::span<const PoiRef> a,
+                          std::span<const PoiRef> b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  };
+  std::set<std::span<const PoiRef>, decltype(before)> seen(before);
+  std::vector<std::span<const PoiRef>> groups;
+  for (const OvrView ovr : movd.ovrs) {
     MOVD_CHECK(!ovr.pois.empty());
     if (!seen.insert(ovr.pois).second) continue;
-    groups.push_back(&ovr.pois);
+    groups.push_back(ovr.pois);
   }
 
   std::vector<SiteCandidate> candidates(groups.size());
@@ -57,26 +64,17 @@ StatusCode EnumerateCandidates(const MolqQuery& query, const Movd& movd,
                   return;
                 }
                 TraceContextScope scope(ctx);
-                const std::vector<PoiRef>& group = *groups[i];
+                const std::span<const PoiRef> group = groups[i];
                 std::vector<WeightedPoint> points;
-                points.reserve(group.size());
-                double offset = 0.0;
-                for (const PoiRef& ref : group) {
-                  const SpatialObject& obj =
-                      query.sets.at(ref.set).objects.at(ref.object);
-                  const FermatWeberTerm term = DecomposeWeightedDistance(
-                      obj, query.type_function,
-                      query.ObjectFunction(ref.set));
-                  points.push_back({obj.location, term.fw_weight});
-                  offset += term.offset;
-                }
+                const double offset =
+                    BuildFermatWeberProblem(query, group, &points);
                 FermatWeberOptions fw;
                 fw.epsilon = options.epsilon;
                 const FermatWeberResult r = SolveFermatWeber(points, fw);
                 SiteCandidate& c = candidates[i];
                 c.location = r.location;
                 c.cost = r.cost + offset;
-                c.group = group;
+                c.group.assign(group.begin(), group.end());
                 c.criteria = CandidateCriteria(query, group, r.location);
               });
   if (cancelled.load(std::memory_order_relaxed)) {

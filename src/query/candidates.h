@@ -1,6 +1,7 @@
 #ifndef MOVD_QUERY_CANDIDATES_H_
 #define MOVD_QUERY_CANDIDATES_H_
 
+#include <span>
 #include <vector>
 
 #include "model/movd_model.h"
@@ -21,7 +22,7 @@ struct CandidateOptions {
 /// the same Fermat–Weber decomposition the optimizer uses
 /// (fw_weight * d + offset), in group order.
 std::vector<double> CandidateCriteria(const MolqQuery& query,
-                                      const std::vector<PoiRef>& group,
+                                      std::span<const PoiRef> group,
                                       const Point& location);
 
 /// Enumerates the distinct object combinations of `movd` (first-seen OVR

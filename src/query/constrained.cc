@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "core/weighted_distance.h"
@@ -117,21 +118,21 @@ Region BuildFeasibleRegion(const QueryConstraint& constraint,
       pieces = std::move(next);
     }
   }
-  return Region::FromPieces(std::move(pieces));
+  return Region::FromPieces(pieces);
 }
 
-Movd ClipMovdToFeasible(const Movd& movd, const Region& feasible) {
+Movd ClipMovdToFeasible(const Movd& movd, RegionView feasible) {
   Movd out;
-  for (const Ovr& ovr : movd.ovrs) {
+  for (const OvrView ovr : movd.ovrs) {
     MOVD_CHECK_MSG(!ovr.region.Empty(),
                    "constrained MOLQ requires an RRB MOVD: every OVR must "
                    "carry its real region");
-    Ovr clipped;
-    clipped.region = Region::Intersect(ovr.region, feasible);
-    if (clipped.region.Empty()) continue;
-    clipped.mbr = clipped.region.Bbox();
-    clipped.pois = ovr.pois;
-    out.ovrs.push_back(std::move(clipped));
+    if (AppendRegionIntersection(ovr.region, feasible,
+                                 Region::kDefaultMinPieceArea,
+                                 out.ovrs.mutable_pieces()) == 0) {
+      continue;
+    }
+    out.ovrs.CommitOvr(out.ovrs.PendingRegion().Bbox(), ovr.pois);
   }
   return out;
 }
@@ -163,7 +164,7 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
           return;
         }
         TraceContextScope scope(ctx);
-        const Ovr& ovr = clipped.ovrs[i];
+        const OvrView ovr = clipped.ovrs[i];
         MOVD_CHECK(!ovr.pois.empty());
         std::vector<WeightedPoint> points;
         const double offset =
@@ -182,8 +183,8 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
           // minimal edge wins ties.
           slot.on_boundary = true;
           bool have = false;
-          for (const ConvexPolygon& piece : ovr.region.pieces()) {
-            const std::vector<Point>& ring = piece.vertices();
+          for (const PieceView piece : ovr.region.pieces()) {
+            const std::span<const Point> ring = piece.vertices();
             for (size_t e = 0; e < ring.size(); ++e) {
               double edge_cost = 0.0;
               const Point p = MinimizeOnSegment(
@@ -198,7 +199,7 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
         }
         slot.candidate.location = where;
         slot.candidate.cost = fw_cost + offset;
-        slot.candidate.group = ovr.pois;
+        slot.candidate.group.assign(ovr.pois.begin(), ovr.pois.end());
         slot.candidate.criteria = CandidateCriteria(query, ovr.pois, where);
         slot.solved = true;
       });

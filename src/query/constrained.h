@@ -28,7 +28,7 @@ Region BuildFeasibleRegion(const QueryConstraint& constraint,
 /// is empty (area below Region::kDefaultMinPieceArea) are dropped and MBRs
 /// are recomputed from the clipped regions. Requires an RRB MOVD (every OVR
 /// carries a non-empty real region).
-Movd ClipMovdToFeasible(const Movd& movd, const Region& feasible);
+Movd ClipMovdToFeasible(const Movd& movd, RegionView feasible);
 
 /// The constrained optimum over a clipped MOVD. Per OVR: solve the
 /// unconstrained Fermat–Weber problem; if the optimum lies in the clipped

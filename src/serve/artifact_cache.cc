@@ -7,7 +7,7 @@ namespace movd {
 
 size_t ArtifactBytes(const Movd& movd) {
   size_t bytes = 16;  // file header: magic + version + count
-  for (const Ovr& ovr : movd.ovrs) bytes += SerializedOvrSize(ovr);
+  for (const OvrView ovr : movd.ovrs) bytes += SerializedOvrSize(ovr);
   return bytes;
 }
 

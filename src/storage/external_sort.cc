@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <queue>
 #include <vector>
 
@@ -13,9 +14,24 @@ namespace movd {
 namespace {
 
 // Sweep start-event order: descending max_y, ties by descending min_y.
-bool SweepBefore(const Ovr& a, const Ovr& b) {
+bool SweepBefore(const OvrView& a, const OvrView& b) {
   if (a.mbr.max_y != b.mbr.max_y) return a.mbr.max_y > b.mbr.max_y;
   return a.mbr.min_y > b.mbr.min_y;
+}
+
+// Writes `buffer` to `path` in sweep order. stable_sort over indices: the
+// buffer holds records in deterministic file order, so OVRs tying on
+// (max_y, min_y) keep that order regardless of the sort implementation and
+// the output is byte-stable.
+bool WriteSorted(const OvrTable& buffer, const std::string& path) {
+  std::vector<uint32_t> order(buffer.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return SweepBefore(buffer[a], buffer[b]);
+  });
+  MovdFileWriter writer(path);
+  for (const uint32_t i : order) writer.Append(buffer[i]);
+  return writer.Close().ok();
 }
 
 std::string RunPath(const std::string& output_path, uint64_t run) {
@@ -33,21 +49,15 @@ bool ExternalSortMovdFile(const std::string& input_path,
 
   // Phase 1: produce sorted runs under the memory budget.
   std::vector<std::string> run_paths;
-  std::vector<Ovr> buffer;
+  OvrTable buffer;
   size_t buffer_bytes = 0;
   uint64_t records = 0;
   uint64_t peak_bytes = 0;
 
   const auto spill = [&]() -> bool {
     if (buffer.empty()) return true;
-    // stable_sort: the buffer holds records in deterministic file order,
-    // so OVRs tying on (max_y, min_y) keep that order regardless of the
-    // sort implementation and the output is byte-stable.
-    std::stable_sort(buffer.begin(), buffer.end(), SweepBefore);
     const std::string path = RunPath(output_path, run_paths.size());
-    MovdFileWriter writer(path);
-    for (const Ovr& ovr : buffer) writer.Append(ovr);
-    if (!writer.Close()) return false;
+    if (!WriteSorted(buffer, path)) return false;
     run_paths.push_back(path);
     buffer.clear();
     buffer_bytes = 0;
@@ -57,7 +67,7 @@ bool ExternalSortMovdFile(const std::string& input_path,
   while (auto ovr = reader.Next()) {
     buffer_bytes += SerializedOvrSize(*ovr);
     peak_bytes = std::max<uint64_t>(peak_bytes, buffer_bytes);
-    buffer.push_back(std::move(*ovr));
+    buffer.push_back(*ovr);
     ++records;
     if (buffer_bytes >= memory_budget_bytes) {
       if (!spill()) return false;
@@ -66,10 +76,7 @@ bool ExternalSortMovdFile(const std::string& input_path,
 
   // Single-run fast path: write directly.
   if (run_paths.empty()) {
-    std::stable_sort(buffer.begin(), buffer.end(), SweepBefore);
-    MovdFileWriter writer(output_path);
-    for (const Ovr& ovr : buffer) writer.Append(ovr);
-    if (!writer.Close()) return false;
+    if (!WriteSorted(buffer, output_path)) return false;
     if (stats != nullptr) {
       stats->records = records;
       stats->runs = 1;

@@ -56,7 +56,16 @@ bool BinaryWriter::Close() {
 }
 
 BinaryReader::BinaryReader(const std::string& path)
-    : file_(std::fopen(path.c_str(), "rb")) {}
+    : file_(std::fopen(path.c_str(), "rb")) {
+  if (file_ == nullptr) return;
+  long size = -1;
+  if (std::fseek(file_, 0, SEEK_END) == 0) size = std::ftell(file_);
+  if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+    failed_ = true;
+    return;
+  }
+  size_ = static_cast<uint64_t>(size);
+}
 
 BinaryReader::~BinaryReader() {
   if (file_ != nullptr) std::fclose(file_);
@@ -78,7 +87,9 @@ void BinaryReader::ReadBytes(void* data, size_t size) {
   if (std::fread(data, 1, size, file_) != size) {
     failed_ = true;
     std::memset(data, 0, size);
+    return;
   }
+  pos_ += size;
 }
 
 uint32_t BinaryReader::ReadU32() {
@@ -122,7 +133,9 @@ void BinaryReader::Seek(uint64_t offset) {
   if (file_ == nullptr) return;
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
     failed_ = true;
+    return;
   }
+  pos_ = offset;
 }
 
 }  // namespace movd

@@ -47,6 +47,14 @@ class BinaryReader {
   bool ok() const { return file_ != nullptr && !failed_; }
   bool AtEof();
 
+  /// Bytes between the read cursor and the end of the file (as it was
+  /// when opened). Readers check every count they read against it before
+  /// allocating for it.
+  uint64_t Remaining() const { return size_ > pos_ ? size_ - pos_ : 0; }
+
+  /// Marks the stream failed: the caller found the bytes malformed.
+  void MarkCorrupt() { failed_ = true; }
+
   uint32_t ReadU32();
   uint64_t ReadU64();
   uint64_t ReadVarint();
@@ -59,6 +67,8 @@ class BinaryReader {
  private:
   std::FILE* file_ = nullptr;
   bool failed_ = false;
+  uint64_t size_ = 0;  // file size at open
+  uint64_t pos_ = 0;   // read cursor
 };
 
 }  // namespace movd

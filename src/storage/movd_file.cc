@@ -1,5 +1,6 @@
 #include "storage/movd_file.h"
 
+#include <cstdint>
 #include <cstdio>
 
 #include "util/check.h"
@@ -9,7 +10,12 @@ namespace {
 
 constexpr uint32_t kMagic = 0x4d4f5644;  // "MOVD"
 constexpr uint32_t kVersion = 1;
-constexpr uint64_t kHeaderSize = 4 + 4 + 8;  // magic + version + count
+// The smallest encodings, which bound every count a file can carry.
+constexpr uint64_t kMinPoiBytes = 2;     // set + object varints
+constexpr uint64_t kMinPieceBytes = 1;   // its vertex-count varint
+constexpr uint64_t kVertexBytes = 16;    // two doubles
+constexpr uint64_t kMinRecordBytes = 4 * 8 + 1 + 1;  // mbr + two counts
+constexpr uint64_t kMaxIndex = INT32_MAX;  // PoiRef fields are int32
 
 size_t VarintSize(uint64_t v) {
   size_t n = 1;
@@ -22,7 +28,7 @@ size_t VarintSize(uint64_t v) {
 
 }  // namespace
 
-size_t SerializedOvrSize(const Ovr& ovr) {
+size_t SerializedOvrSize(const OvrView& ovr) {
   size_t bytes = 4 * 8;  // mbr
   bytes += VarintSize(ovr.pois.size());
   for (const PoiRef& p : ovr.pois) {
@@ -30,13 +36,13 @@ size_t SerializedOvrSize(const Ovr& ovr) {
              VarintSize(static_cast<uint32_t>(p.object));
   }
   bytes += VarintSize(ovr.region.pieces().size());
-  for (const ConvexPolygon& piece : ovr.region.pieces()) {
+  for (const PieceView piece : ovr.region.pieces()) {
     bytes += VarintSize(piece.VertexCount()) + piece.VertexCount() * 16;
   }
   return bytes;
 }
 
-void WriteOvr(BinaryWriter* writer, const Ovr& ovr) {
+void WriteOvr(BinaryWriter* writer, const OvrView& ovr) {
   writer->WriteDouble(ovr.mbr.min_x);
   writer->WriteDouble(ovr.mbr.min_y);
   writer->WriteDouble(ovr.mbr.max_x);
@@ -47,7 +53,7 @@ void WriteOvr(BinaryWriter* writer, const Ovr& ovr) {
     writer->WriteVarint(static_cast<uint32_t>(p.object));
   }
   writer->WriteVarint(ovr.region.pieces().size());
-  for (const ConvexPolygon& piece : ovr.region.pieces()) {
+  for (const PieceView piece : ovr.region.pieces()) {
     writer->WriteVarint(piece.VertexCount());
     for (const Point& v : piece.vertices()) {
       writer->WriteDouble(v.x);
@@ -57,24 +63,43 @@ void WriteOvr(BinaryWriter* writer, const Ovr& ovr) {
 }
 
 Ovr ReadOvr(BinaryReader* reader) {
+  // Every count is checked against the bytes left before anything is
+  // reserved for it: a hostile count fails the reader (kDataLoss from
+  // LoadMovd) instead of throwing from an impossible allocation.
   Ovr ovr;
   ovr.mbr.min_x = reader->ReadDouble();
   ovr.mbr.min_y = reader->ReadDouble();
   ovr.mbr.max_x = reader->ReadDouble();
   ovr.mbr.max_y = reader->ReadDouble();
   const uint64_t num_pois = reader->ReadVarint();
+  if (num_pois > reader->Remaining() / kMinPoiBytes) {
+    reader->MarkCorrupt();
+    return ovr;
+  }
   ovr.pois.reserve(num_pois);
   for (uint64_t i = 0; i < num_pois; ++i) {
-    PoiRef ref;
-    ref.set = static_cast<int32_t>(reader->ReadVarint());
-    ref.object = static_cast<int32_t>(reader->ReadVarint());
-    ovr.pois.push_back(ref);
+    const uint64_t set = reader->ReadVarint();
+    const uint64_t object = reader->ReadVarint();
+    if (set > kMaxIndex || object > kMaxIndex) {
+      reader->MarkCorrupt();
+      return ovr;
+    }
+    ovr.pois.push_back(
+        {static_cast<int32_t>(set), static_cast<int32_t>(object)});
   }
   const uint64_t num_pieces = reader->ReadVarint();
+  if (num_pieces > reader->Remaining() / kMinPieceBytes) {
+    reader->MarkCorrupt();
+    return ovr;
+  }
   std::vector<ConvexPolygon> pieces;
   pieces.reserve(num_pieces);
   for (uint64_t i = 0; i < num_pieces; ++i) {
     const uint64_t num_verts = reader->ReadVarint();
+    if (num_verts > reader->Remaining() / kVertexBytes) {
+      reader->MarkCorrupt();
+      return ovr;
+    }
     std::vector<Point> verts;
     verts.reserve(num_verts);
     for (uint64_t v = 0; v < num_verts; ++v) {
@@ -84,7 +109,7 @@ Ovr ReadOvr(BinaryReader* reader) {
     }
     pieces.push_back(ConvexPolygon::FromTrustedRing(std::move(verts)));
   }
-  ovr.region = Region::FromPieces(std::move(pieces));
+  ovr.region = Region::FromPieces(pieces);
   return ovr;
 }
 
@@ -95,7 +120,7 @@ MovdFileWriter::MovdFileWriter(const std::string& path)
   writer_.WriteU64(0);  // count, patched on Close
 }
 
-void MovdFileWriter::Append(const Ovr& ovr) {
+void MovdFileWriter::Append(const OvrView& ovr) {
   WriteOvr(&writer_, ovr);
   ++count_;
 }
@@ -127,7 +152,8 @@ MovdFileReader::MovdFileReader(const std::string& path) : reader_(path) {
   const uint32_t magic = reader_.ReadU32();
   const uint32_t version = reader_.ReadU32();
   count_ = reader_.ReadU64();
-  ok_ = reader_.ok() && magic == kMagic && version == kVersion;
+  ok_ = reader_.ok() && magic == kMagic && version == kVersion &&
+        count_ <= reader_.Remaining() / kMinRecordBytes;
 }
 
 std::optional<Ovr> MovdFileReader::Next() {
@@ -143,7 +169,7 @@ std::optional<Ovr> MovdFileReader::Next() {
 
 Status SaveMovd(const std::string& path, const Movd& movd) {
   MovdFileWriter writer(path);
-  for (const Ovr& ovr : movd.ovrs) writer.Append(ovr);
+  for (const OvrView ovr : movd.ovrs) writer.Append(ovr);
   return writer.Close();
 }
 
@@ -162,9 +188,7 @@ StatusOr<Movd> LoadMovd(const std::string& path) {
   }
   Movd movd;
   movd.ovrs.reserve(reader.count());
-  while (auto ovr = reader.Next()) {
-    movd.ovrs.push_back(std::move(*ovr));
-  }
+  while (auto ovr = reader.Next()) movd.ovrs.push_back(*ovr);
   if (!reader.ok() && movd.ovrs.size() != reader.count()) {
     return Status::DataLoss("truncated MOVD record in " + path);
   }

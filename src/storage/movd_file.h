@@ -12,12 +12,13 @@ namespace movd {
 
 /// Serialized size in bytes of one OVR record (used for memory accounting
 /// in the disk-based pipeline).
-size_t SerializedOvrSize(const Ovr& ovr);
+size_t SerializedOvrSize(const OvrView& ovr);
 
 /// Appends one OVR record to a writer (format: mbr, pois, region pieces).
-void WriteOvr(BinaryWriter* writer, const Ovr& ovr);
+void WriteOvr(BinaryWriter* writer, const OvrView& ovr);
 
-/// Reads one OVR record.
+/// Reads one OVR record. A record whose counts overrun the file or whose
+/// poi indices exceed int32 fails `reader` instead.
 Ovr ReadOvr(BinaryReader* reader);
 
 /// Sequential writer for a MOVD file:
@@ -27,7 +28,7 @@ class MovdFileWriter {
  public:
   explicit MovdFileWriter(const std::string& path);
 
-  void Append(const Ovr& ovr);
+  void Append(const OvrView& ovr);
   uint64_t count() const { return count_; }
 
   /// Finalises the header; kIoError on I/O failure.
@@ -62,7 +63,8 @@ Status SaveMovd(const std::string& path, const Movd& movd);
 
 /// Loads a whole MOVD file into memory. kIoError when the file cannot be
 /// opened, kDataLoss when the header or a record fails validation
-/// (corrupt/truncated/version mismatch).
+/// (corrupt/truncated/version mismatch, or a count the file's remaining
+/// bytes cannot hold).
 StatusOr<Movd> LoadMovd(const std::string& path);
 
 }  // namespace movd

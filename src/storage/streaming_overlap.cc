@@ -78,6 +78,7 @@ bool StreamingOverlap(const std::string& sorted_a_path,
 
   ActiveSet active_a, active_b;
   StreamingOverlapStats local;
+  OvrTable hit;  // one pair's result, written out at once
 
   std::optional<Ovr> head_a = reader_a.Next();
   std::optional<Ovr> head_b = reader_b.Next();
@@ -107,10 +108,10 @@ bool StreamingOverlap(const std::string& sorted_a_path,
     // Pair the new arrival against the other input's active OVRs.
     other.ForEachXOverlap(ovr.mbr.min_x, ovr.mbr.max_x, [&](const Ovr& cand) {
       ++local.candidate_pairs;
-      Ovr out;
-      if (IntersectOvrPair(ovr, cand, mode, &out)) {
+      if (IntersectOvrPair(ovr, cand, mode, &hit)) {
         ++local.output_ovrs;
-        writer.Append(out);
+        writer.Append(hit[0]);
+        hit.clear();
       }
     });
 

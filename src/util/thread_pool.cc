@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -73,10 +74,20 @@ void ParallelFor(int threads, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // Contiguous blocks of indices, about kClaimsPerThread per thread: the
+  // shared counter is touched once per block, and the blocks stay small
+  // enough to balance uneven iterations. Loops shorter than
+  // threads * kClaimsPerThread still claim one index at a time.
+  constexpr size_t kClaimsPerThread = 64;
+  const size_t block =
+      std::max<size_t>(1, n / (static_cast<size_t>(threads) *
+                               kClaimsPerThread));
   std::atomic<size_t> next{0};
-  const auto drain = [&next, n, &fn] {
-    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      fn(i);
+  const auto drain = [&next, n, block, &fn] {
+    for (size_t first;
+         (first = next.fetch_add(block, std::memory_order_relaxed)) < n;) {
+      const size_t last = std::min(n, first + block);
+      for (size_t i = first; i < last; ++i) fn(i);
     }
   };
   ThreadPool pool(threads - 1);

@@ -60,11 +60,13 @@ int ResolveThreads(int threads);
 
 /// Runs fn(i) for every i in [0, n) across `threads` threads (the calling
 /// thread participates). Iterations are claimed dynamically off a shared
-/// atomic counter, so the assignment of i to threads is nondeterministic —
-/// callers must make fn(i) write only to slot i of pre-sized output and
-/// reduce afterwards in index order when determinism matters. With
-/// threads <= 1 (or n <= 1) the loop runs inline, in order, with zero
-/// threading overhead.
+/// atomic counter in contiguous blocks of max(1, n / (64 · threads))
+/// indices, so a short loop (the per-set VD fan-out, a what-if sweep)
+/// still spreads one index per claim. The assignment of i to threads is
+/// nondeterministic — callers must make fn(i) write only to slot i of
+/// pre-sized output and reduce afterwards in index order when determinism
+/// matters. With threads <= 1 (or n <= 1) the loop runs inline, in order,
+/// with zero threading overhead.
 void ParallelFor(int threads, size_t n, const std::function<void(size_t)>& fn);
 
 /// Lowers *target to value when value is smaller (lock-free CAS loop).

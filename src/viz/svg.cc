@@ -27,7 +27,7 @@ Point SvgWriter::Map(const Point& p) const {
           height_px_ - (p.y - world_.min_y) * scale_};
 }
 
-void SvgWriter::AddRing(const std::vector<Point>& ring,
+void SvgWriter::AddRing(std::span<const Point> ring,
                         const std::string& fill, const std::string& stroke,
                         double stroke_width, double fill_opacity) {
   if (ring.size() < 2) return;
@@ -41,7 +41,7 @@ void SvgWriter::AddRing(const std::vector<Point>& ring,
            Num(stroke_width) + "\"/>\n";
 }
 
-void SvgWriter::AddPolygon(const ConvexPolygon& poly, const std::string& fill,
+void SvgWriter::AddPolygon(PieceView poly, const std::string& fill,
                            const std::string& stroke, double stroke_width,
                            double fill_opacity) {
   AddRing(poly.vertices(), fill, stroke, stroke_width, fill_opacity);
@@ -57,11 +57,11 @@ void SvgWriter::AddRect(const Rect& r, const std::string& fill,
                         const std::string& stroke, double stroke_width,
                         double fill_opacity) {
   if (r.Empty()) return;
-  AddRing({{r.min_x, r.min_y},
-           {r.max_x, r.min_y},
-           {r.max_x, r.max_y},
-           {r.min_x, r.max_y}},
-          fill, stroke, stroke_width, fill_opacity);
+  const Point corners[] = {{r.min_x, r.min_y},
+                           {r.max_x, r.min_y},
+                           {r.max_x, r.max_y},
+                           {r.min_x, r.max_y}};
+  AddRing(corners, fill, stroke, stroke_width, fill_opacity);
 }
 
 void SvgWriter::AddCircle(const Point& center, double radius_px,

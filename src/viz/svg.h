@@ -1,6 +1,7 @@
 #ifndef MOVD_VIZ_SVG_H_
 #define MOVD_VIZ_SVG_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@ class SvgWriter {
   /// (height follows the world aspect ratio).
   SvgWriter(const Rect& world, double width_px = 800.0);
 
-  void AddPolygon(const ConvexPolygon& poly, const std::string& fill,
+  void AddPolygon(PieceView poly, const std::string& fill,
                   const std::string& stroke, double stroke_width = 1.0,
                   double fill_opacity = 0.35);
   void AddPolygon(const Polygon& poly, const std::string& fill,
@@ -44,7 +45,7 @@ class SvgWriter {
 
  private:
   Point Map(const Point& world_point) const;
-  void AddRing(const std::vector<Point>& ring, const std::string& fill,
+  void AddRing(std::span<const Point> ring, const std::string& fill,
                const std::string& stroke, double stroke_width,
                double fill_opacity);
 

@@ -15,6 +15,7 @@
 #include "audit/audit_weighted.h"
 #include "core/molq.h"
 #include "model/movd_model.h"
+#include "movd_test_util.h"
 #include "core/overlap.h"
 #include "util/rng.h"
 #include "voronoi/delaunay.h"
@@ -379,7 +380,9 @@ TEST(AuditOverlayTest, AcceptsCleanOverlapBothModes) {
 TEST(AuditOverlayTest, DetectsPoiOrderCorruption) {
   OverlayFixture f = BuildOverlay(BoundaryMode::kRealRegion);
   ASSERT_GE(f.result.ovrs[0].pois.size(), 2u);
-  std::swap(f.result.ovrs[0].pois[0], f.result.ovrs[0].pois[1]);
+  std::vector<Ovr> ovrs = ToOvrs(f.result);
+  std::swap(ovrs[0].pois[0], ovrs[0].pois[1]);
+  f.result = FromOvrs(ovrs);
   const AuditReport report = AuditMovdOverlay(
       f.result, f.inputs, BoundaryMode::kRealRegion, kBounds);
   EXPECT_GE(report.CountKind(AuditKind::kOverlayPoiOrder), 1u)
@@ -388,7 +391,9 @@ TEST(AuditOverlayTest, DetectsPoiOrderCorruption) {
 
 TEST(AuditOverlayTest, DetectsMbrEscapingSearchSpace) {
   OverlayFixture f = BuildOverlay(BoundaryMode::kMbr);
-  f.result.ovrs[0].mbr.Expand({150, 150});
+  std::vector<Ovr> ovrs = ToOvrs(f.result);
+  ovrs[0].mbr.Expand({150, 150});
+  f.result = FromOvrs(ovrs);
   const AuditReport report =
       AuditMovdOverlay(f.result, f.inputs, BoundaryMode::kMbr, kBounds);
   EXPECT_GE(report.CountKind(AuditKind::kOverlayMbr), 1u)
@@ -402,19 +407,21 @@ TEST(AuditOverlayTest, DetectsRegionLeakingOutsideSource) {
   // only the source-containment invariant can catch it.
   size_t idx = f.result.ovrs.size();
   for (size_t i = 0; i < f.result.ovrs.size(); ++i) {
-    const auto& pois = f.result.ovrs[i].pois;
+    const std::span<const PoiRef> pois = f.result.ovrs[i].pois;
     if (!pois.empty() && pois[0].set == 0 && pois[0].object == 0) idx = i;
   }
   ASSERT_LT(idx, f.result.ovrs.size());
-  Ovr& ovr = f.result.ovrs[idx];
+  std::vector<Ovr> ovrs = ToOvrs(f.result);
+  Ovr& ovr = ovrs[idx];
   std::vector<ConvexPolygon> moved;
-  for (const ConvexPolygon& piece : ovr.region.pieces()) {
-    std::vector<Point> ring = piece.vertices();
+  for (const PieceView piece : ovr.region.pieces()) {
+    std::vector<Point> ring(piece.vertices().begin(), piece.vertices().end());
     for (Point& p : ring) p = p + Point(50, 0);
     moved.push_back(ConvexPolygon::FromTrustedRing(std::move(ring)));
   }
-  ovr.region = Region::FromPieces(std::move(moved));
+  ovr.region = Region::FromPieces(moved);
   ovr.mbr = ovr.region.Bbox();
+  f.result = FromOvrs(ovrs);
   const AuditReport report = AuditMovdOverlay(
       f.result, f.inputs, BoundaryMode::kRealRegion, kBounds);
   EXPECT_GE(report.CountKind(AuditKind::kOverlaySource), 1u)

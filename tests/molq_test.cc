@@ -288,12 +288,13 @@ TEST(MolqTest, Property5HoldsOnFinalMovd) {
   }
   const Movd final_movd = OverlapAll(basic, BoundaryMode::kRealRegion);
   Rng rng(122);
-  for (const Ovr& ovr : final_movd.ovrs) {
+  for (const OvrView ovr : final_movd.ovrs) {
     // Probe the OVR's centroid when it lies inside the region.
     if (ovr.region.pieces().empty()) continue;
     const Point probe = ovr.region.pieces()[0].Centroid();
     if (!ovr.region.Contains(probe)) continue;
-    EXPECT_NEAR(WeightedGroupDistance(q, probe, ovr.pois),
+    const std::vector<PoiRef> group(ovr.pois.begin(), ovr.pois.end());
+    EXPECT_NEAR(WeightedGroupDistance(q, probe, group),
                 MinWeightedGroupDistance(q, probe), 1e-9);
   }
 }

@@ -36,7 +36,7 @@ Movd BasicMovd(size_t sites, int32_t set, uint64_t seed) {
 std::vector<std::pair<std::string, double>> AreaByCombination(
     const Movd& movd) {
   std::vector<std::pair<std::string, double>> items;
-  for (const Ovr& ovr : movd.ovrs) {
+  for (const OvrView ovr : movd.ovrs) {
     std::string key;
     for (const PoiRef& p : ovr.pois) {
       key += std::to_string(p.set) + ":" + std::to_string(p.object) + ";";
@@ -125,13 +125,13 @@ TEST(MovdPropertyTest, CoversSearchSpace) {
   const Movd b = BasicMovd(10, 1, 103);
   const Movd out = Overlap(a, b, BoundaryMode::kRealRegion);
   double area = 0.0;
-  for (const Ovr& ovr : out.ovrs) area += ovr.region.Area();
+  for (const OvrView ovr : out.ovrs) area += ovr.region.Area();
   EXPECT_NEAR(area, kBounds.Area(), 1e-5 * kBounds.Area());
   Rng rng(104);
   for (int i = 0; i < 100; ++i) {
     const Point q{rng.Uniform(1, 99), rng.Uniform(1, 99)};
     bool covered = false;
-    for (const Ovr& ovr : out.ovrs) {
+    for (const OvrView ovr : out.ovrs) {
       if (ovr.region.Contains(q)) {
         covered = true;
         break;
@@ -177,7 +177,7 @@ TEST(MovdPropertyTest, OverlapsOnlyOnBoundaries) {
   for (int i = 0; i < 200; ++i) {
     const Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
     int owners = 0;
-    for (const Ovr& ovr : out.ovrs) {
+    for (const OvrView ovr : out.ovrs) {
       if (ovr.region.Contains(q)) ++owners;
     }
     // Random points hit boundaries with probability zero.

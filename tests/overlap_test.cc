@@ -32,7 +32,7 @@ Movd RandomBasicMovd(size_t sites, int32_t set, uint64_t seed) {
 // Canonical form for comparing MOVDs: (sorted pois, rounded mbr) pairs.
 std::vector<std::string> Canonicalize(const Movd& movd) {
   std::vector<std::string> keys;
-  for (const Ovr& ovr : movd.ovrs) {
+  for (const OvrView ovr : movd.ovrs) {
     std::string k;
     for (const PoiRef& p : ovr.pois) {
       k += std::to_string(p.set) + ":" + std::to_string(p.object) + ";";
@@ -53,7 +53,7 @@ TEST(OverlapTest, IdentityLeavesMovdUnchanged) {
   const Movd out = Overlap(m, id, BoundaryMode::kRealRegion);
   EXPECT_EQ(out.ovrs.size(), m.ovrs.size());
   double area = 0.0;
-  for (const Ovr& ovr : out.ovrs) area += ovr.region.Area();
+  for (const OvrView ovr : out.ovrs) area += ovr.region.Area();
   EXPECT_NEAR(area, kBounds.Area(), 1e-6 * kBounds.Area());
 }
 
@@ -67,7 +67,7 @@ TEST(OverlapTest, TwoBisectedHalvesGiveFourQuadrants) {
   const Movd out = Overlap(a, b, BoundaryMode::kRealRegion, &stats);
   EXPECT_EQ(out.ovrs.size(), 4u);
   EXPECT_EQ(stats.output_ovrs, 4u);
-  for (const Ovr& ovr : out.ovrs) {
+  for (const OvrView ovr : out.ovrs) {
     EXPECT_NEAR(ovr.region.Area(), 2500.0, 1e-9);
     EXPECT_EQ(ovr.pois.size(), 2u);
     EXPECT_EQ(ovr.pois[0].set, 0);
@@ -101,7 +101,7 @@ TEST(OverlapTest, RrbOutputTilesTheBounds) {
   const Movd b = RandomBasicMovd(30, 1, 77);
   const Movd out = Overlap(a, b, BoundaryMode::kRealRegion);
   double area = 0.0;
-  for (const Ovr& ovr : out.ovrs) area += ovr.region.Area();
+  for (const OvrView ovr : out.ovrs) area += ovr.region.Area();
   EXPECT_NEAR(area, kBounds.Area(), 1e-4 * kBounds.Area());
 }
 
@@ -145,14 +145,14 @@ TEST(OverlapTest, OverlapAllFoldsThreeDiagrams) {
                                     RandomBasicMovd(6, 1, 85),
                                     RandomBasicMovd(6, 2, 86)};
   const Movd out = OverlapAll(inputs, BoundaryMode::kRealRegion);
-  for (const Ovr& ovr : out.ovrs) {
+  for (const OvrView ovr : out.ovrs) {
     ASSERT_EQ(ovr.pois.size(), 3u);
     EXPECT_EQ(ovr.pois[0].set, 0);
     EXPECT_EQ(ovr.pois[1].set, 1);
     EXPECT_EQ(ovr.pois[2].set, 2);
   }
   double area = 0.0;
-  for (const Ovr& ovr : out.ovrs) area += ovr.region.Area();
+  for (const OvrView ovr : out.ovrs) area += ovr.region.Area();
   EXPECT_NEAR(area, kBounds.Area(), 1e-4 * kBounds.Area());
 }
 
@@ -212,7 +212,7 @@ Movd MultimapSweepOverlap(const Movd& a, const Movd& b, BoundaryMode mode,
   Movd result;
   const auto handle = [&](const Event& e, const Movd& self,
                           const Movd& other, Status* current, Status* others) {
-    const Ovr& ovr = self.ovrs[e.index];
+    const OvrView ovr = self.ovrs[e.index];
     if (!e.is_start) {
       auto [lo, hi] = current->equal_range(ovr.mbr.min_x);
       for (auto it = lo; it != hi; ++it) {
@@ -226,13 +226,11 @@ Movd MultimapSweepOverlap(const Movd& a, const Movd& b, BoundaryMode mode,
     current->emplace(ovr.mbr.min_x, e.index);
     const auto end = others->upper_bound(ovr.mbr.max_x);
     for (auto it = others->begin(); it != end; ++it) {
-      const Ovr& cand = other.ovrs[it->second];
+      const OvrView cand = other.ovrs[it->second];
       if (cand.mbr.max_x < ovr.mbr.min_x) continue;
       ++stats->candidate_pairs;
       if (mode == BoundaryMode::kRealRegion) ++stats->region_intersections;
-      Ovr out;
-      if (IntersectOvrPair(ovr, cand, mode, &out)) {
-        result.ovrs.push_back(std::move(out));
+      if (IntersectOvrPair(ovr, cand, mode, &result.ovrs)) {
         ++stats->output_ovrs;
       }
     }
@@ -275,9 +273,11 @@ bool SameRect(const Rect& x, const Rect& y) {
            << y.ovrs.size();
   }
   for (size_t i = 0; i < x.ovrs.size(); ++i) {
-    const Ovr& p = x.ovrs[i];
-    const Ovr& q = y.ovrs[i];
-    bool same = SameRect(p.mbr, q.mbr) && p.pois == q.pois &&
+    const OvrView p = x.ovrs[i];
+    const OvrView q = y.ovrs[i];
+    bool same = SameRect(p.mbr, q.mbr) &&
+                std::equal(p.pois.begin(), p.pois.end(), q.pois.begin(),
+                           q.pois.end()) &&
                 p.region.pieces().size() == q.region.pieces().size();
     for (size_t k = 0; same && k < p.region.pieces().size(); ++k) {
       const auto& pv = p.region.pieces()[k].vertices();
@@ -383,6 +383,62 @@ TEST(OverlapParallelTest, ThreeSetFoldsMatchOracleAtEveryThreadCount) {
   }
 }
 
+// FNV-1a over every MBR, poi and vertex of an overlay, in OVR order, with
+// the piece and vertex counts mixed in.
+uint64_t OverlayHash(const Movd& movd) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const OvrView ovr : movd.ovrs) {
+    mix(&ovr.mbr, sizeof(Rect));
+    for (const PoiRef& p : ovr.pois) mix(&p, sizeof(PoiRef));
+    const uint64_t pieces = ovr.region.pieces().size();
+    mix(&pieces, sizeof(pieces));
+    for (const PieceView piece : ovr.region.pieces()) {
+      const uint64_t n = piece.VertexCount();
+      mix(&n, sizeof(n));
+      for (const Point& v : piece.vertices()) mix(&v, sizeof(Point));
+    }
+  }
+  return h;
+}
+
+TEST(OverlapParallelTest, FoldHashesMatchFrozenReference) {
+  // Hashes recorded from the overlap as it stood before OVRs moved into a
+  // flat table (one heap-allocated record per OVR): the table, its
+  // in-place clip and the per-claim hit tables must reproduce those bytes
+  // at every thread count. Each fold spans several intersection windows.
+  const std::vector<Movd> inputs = {RandomBasicMovd(2000, 0, 404),
+                                    RandomBasicMovd(2500, 1, 405),
+                                    RandomBasicMovd(1500, 2, 406)};
+  struct Frozen {
+    BoundaryMode mode;
+    size_t ovrs;
+    uint64_t pairs;
+    uint64_t hash;
+  };
+  for (const Frozen& want :
+       {Frozen{BoundaryMode::kRealRegion, 20533, 45417, 0x67b73c86f4843f95ULL},
+        Frozen{BoundaryMode::kMbr, 47415, 61804, 0x34320be55e4ce43cULL}}) {
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE("mode=" +
+                   std::string(want.mode == BoundaryMode::kMbr ? "mbrb"
+                                                               : "rrb") +
+                   " threads=" + std::to_string(threads));
+      OverlapStats stats;
+      const Movd out = OverlapAll(inputs, want.mode, &stats, nullptr, threads);
+      EXPECT_EQ(out.ovrs.size(), want.ovrs);
+      EXPECT_EQ(stats.candidate_pairs, want.pairs);
+      EXPECT_EQ(OverlayHash(out), want.hash);
+    }
+  }
+}
+
 TEST(OverlapParallelTest, ManyWindowsMatchOracle) {
   // Enough candidate pairs to fill several 32K-pair intersection windows,
   // so both alternating windows are reused.
@@ -442,7 +498,7 @@ TEST(OverlapParallelTest, HorizontalTouchPairsUnderClosedBoundaries) {
   const Movd a = RectGrid(4, 5, 0.0, 0.0, 0);
   const Movd b = RectGrid(3, 5, 0.0, 0.0, 1);
   Movd shifted;
-  for (const Ovr& ovr : b.ovrs) {
+  for (const OvrView ovr : b.ovrs) {
     // Keep only every other row of b so rows touch a's rows edge to edge.
     if (static_cast<int>(ovr.mbr.min_y) % 40 == 0) shifted.ovrs.push_back(ovr);
   }
@@ -491,9 +547,9 @@ TEST(OverlapParallelTest, TokenFiredMidStepTruncatesToAPrefix) {
         Overlap(a, b, BoundaryMode::kRealRegion, nullptr, &token, 2);
     ASSERT_LE(part.ovrs.size(), full.ovrs.size());
     Movd prefix;
-    prefix.ovrs.assign(full.ovrs.begin(),
-                       full.ovrs.begin() + static_cast<std::ptrdiff_t>(
-                                               part.ovrs.size()));
+    for (size_t i = 0; i < part.ovrs.size(); ++i) {
+      prefix.ovrs.push_back(full.ovrs[i]);
+    }
     EXPECT_TRUE(SameMovdBytes(part, prefix));
     if (token.Expired() && !part.ovrs.empty() &&
         part.ovrs.size() < full.ovrs.size()) {

@@ -99,7 +99,7 @@ void ExpectAnswersEqual(const std::vector<ServeAnswer>& a,
 TEST(ServeCacheTest, ArtifactBytesMatchesOnDiskSize) {
   const auto artifact = MakeArtifact(12, 11);
   size_t records = 0;
-  for (const Ovr& ovr : artifact->ovrs) records += SerializedOvrSize(ovr);
+  for (const OvrView ovr : artifact->ovrs) records += SerializedOvrSize(ovr);
   // Cache accounting == file bytes: a cache budget and a warm-start
   // snapshot size mean the same thing.
   EXPECT_EQ(ArtifactBytes(*artifact), records + 16);

@@ -513,10 +513,13 @@ TEST(ServeUpdateAdmissionTest, DelayBudgetShedsStaleQueueEntries) {
   options.workers = 1;
   // Generous enough that the front of the burst is admitted (dispatch
   // latency is microseconds) but far below the time the single worker
-  // needs to drain the tail, which must therefore shed at dequeue.
+  // needs to drain the tail, which must therefore shed at dequeue. The
+  // layers are sized so 24 uncached solves take several times the budget
+  // on a fast host (at 60 x 50 sites the whole burst drained in ~17 ms,
+  // inside the budget, and nothing was shed).
   options.admission_delay_budget_ms = 20.0;
   QueryEngine engine(options);
-  engine.RegisterDataset("d", OrdinaryQuery({60, 50}, 29), kBounds);
+  engine.RegisterDataset("d", OrdinaryQuery({600, 500}, 29), kBounds);
 
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 24; ++i) {

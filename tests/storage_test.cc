@@ -35,7 +35,7 @@ Movd RandomBasicMovd(size_t sites, int32_t set, uint64_t seed) {
 
 std::vector<std::string> Canonicalize(const Movd& movd) {
   std::vector<std::string> keys;
-  for (const Ovr& ovr : movd.ovrs) {
+  for (const OvrView ovr : movd.ovrs) {
     std::string k;
     for (const PoiRef& p : ovr.pois) {
       k += std::to_string(p.set) + ":" + std::to_string(p.object) + ";";
@@ -97,7 +97,7 @@ TEST(MovdFileTest, RoundTripsMovd) {
   EXPECT_EQ(Canonicalize(movd), Canonicalize(*loaded));
   // Regions themselves survive, not just MBRs.
   double area = 0.0;
-  for (const Ovr& ovr : loaded->ovrs) area += ovr.region.Area();
+  for (const OvrView ovr : loaded->ovrs) area += ovr.region.Area();
   EXPECT_NEAR(area, kBounds.Area(), 1e-6 * kBounds.Area());
   std::remove(path.c_str());
 }
@@ -143,7 +143,7 @@ TEST(MovdFileTest, TruncatedFileFailsGracefully) {
 TEST(MovdFileTest, SerializedSizeMatchesBytesWritten) {
   const Movd movd = RandomBasicMovd(10, 0, 202);
   size_t expected = 0;
-  for (const Ovr& ovr : movd.ovrs) expected += SerializedOvrSize(ovr);
+  for (const OvrView ovr : movd.ovrs) expected += SerializedOvrSize(ovr);
   const std::string path = Tmp("sized.bin");
   ASSERT_TRUE(SaveMovd(path, movd));
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -191,6 +191,66 @@ TEST(MovdFileTest, OverlayArtifactRoundTripIsByteIdentical) {
   EXPECT_EQ(bytes1, bytes2);
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+// Writes `bytes` to `path` verbatim.
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// A valid header (magic "MOVD", version 1) claiming `count` records.
+std::vector<uint8_t> Header(uint64_t count) {
+  std::vector<uint8_t> out = {0x44, 0x56, 0x4f, 0x4d, 1, 0, 0, 0};
+  for (int i = 0; i < 8; ++i) out.push_back((count >> (8 * i)) & 0xff);
+  return out;
+}
+
+// Hostile counts are data loss, not an exception from an impossible
+// allocation: the serve warm start loads every file in its artifact
+// directory, so one such file must not take the process down.
+TEST(MovdFileTest, HostileHeaderCountIsDataLoss) {
+  const std::string path = Tmp("huge_count.movd");
+  WriteBytes(path, Header(uint64_t{1} << 61));  // 16 bytes, no records
+  MovdFileReader reader(path);
+  EXPECT_FALSE(reader.ok());
+  const StatusOr<Movd> loaded = LoadMovd(path);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(MovdFileTest, HostileRecordCountsAreDataLoss) {
+  // One record: a zero MBR, then a poi-count varint of ~2^63 / a piece
+  // count, vertex count or poi index the file cannot hold.
+  const auto record = [](const std::vector<uint8_t>& tail) {
+    std::vector<uint8_t> out = Header(1);
+    out.insert(out.end(), 32, 0);  // mbr
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  };
+  const std::vector<uint8_t> huge = {0xff, 0xff, 0xff, 0xff, 0xff,
+                                     0xff, 0xff, 0xff, 0x7f};  // 2^63 - 1
+  std::vector<uint8_t> poi_index = {1, 0};  // one poi: set 0, object ...
+  poi_index.insert(poi_index.end(), {0x80, 0x80, 0x80, 0x80, 0x08});  // 2^31
+  poi_index.push_back(0);  // no pieces
+  std::vector<uint8_t> pieces = {0};  // no pois
+  pieces.insert(pieces.end(), huge.begin(), huge.end());
+  std::vector<uint8_t> vertices = {0, 1};  // no pois, one piece
+  vertices.insert(vertices.end(), huge.begin(), huge.end());
+  const std::vector<std::vector<uint8_t>> files = {
+      record(huge), record(poi_index), record(pieces), record(vertices)};
+  for (size_t i = 0; i < files.size(); ++i) {
+    SCOPED_TRACE("file " + std::to_string(i));
+    const std::string path = Tmp("hostile_record.movd");
+    WriteBytes(path, files[i]);
+    const StatusOr<Movd> loaded = LoadMovd(path);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    std::remove(path.c_str());
+  }
 }
 
 // A file with the right magic but a future format version must be

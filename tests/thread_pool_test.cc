@@ -60,6 +60,22 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   }
 }
 
+TEST(ParallelForTest, BlockClaimsRunEveryIndexExactlyOnce) {
+  // Covers one-index claims (short loops), multi-index blocks, and a
+  // block size that does not divide n.
+  for (const size_t n : {0u, 1u, 2u, 7u, 1000u, 100003u}) {
+    for (const int threads : {1, 2, 3, 4, 7}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelFor(threads, n, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      size_t wrong = 0;
+      for (const std::atomic<int>& h : hits) wrong += h.load() != 1;
+      EXPECT_EQ(wrong, 0u) << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelForTest, EmptyAndSingleton) {
   int ran = 0;
   ParallelFor(8, 0, [&](size_t) { ++ran; });

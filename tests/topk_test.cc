@@ -76,7 +76,9 @@ std::vector<RankedLocation> BruteForceTopK(const MolqQuery& q,
                                            const Movd& movd, size_t k,
                                            double epsilon) {
   std::set<std::vector<PoiRef>> groups;
-  for (const Ovr& ovr : movd.ovrs) groups.insert(ovr.pois);
+  for (const OvrView ovr : movd.ovrs) {
+    groups.emplace(ovr.pois.begin(), ovr.pois.end());
+  }
   std::vector<RankedLocation> all;
   std::vector<WeightedPoint> points;
   for (const std::vector<PoiRef>& group : groups) {
@@ -131,9 +133,10 @@ TEST(TopKTest, MatchesBruteForceRankingBitForBit) {
         }
         Movd movd = OverlapAll(basic, mode);
         if (mode == BoundaryMode::kMbr) {
-          const std::vector<Ovr> reversed(movd.ovrs.rbegin(),
-                                          movd.ovrs.rend());
-          movd.ovrs.insert(movd.ovrs.end(), reversed.begin(), reversed.end());
+          const Movd scanned = movd;
+          for (size_t i = scanned.ovrs.size(); i-- > 0;) {
+            movd.ovrs.push_back(scanned.ovrs[i]);
+          }
         }
         MolqOptions opts;
         opts.epsilon = 1e-6;

@@ -18,6 +18,7 @@
 #include "core/overlap.h"
 #include "core/update.h"
 #include "model/movd_model.h"
+#include "movd_test_util.h"
 #include "model/update_model.h"
 #include "util/rng.h"
 #include "voronoi/incremental.h"
@@ -353,18 +354,21 @@ TEST(AuditUpdateTest, FlagsCountAndByteMismatches) {
   const Movd rebuilt =
       FoldOverlay({&basics[0], &basics[1]}, BoundaryMode::kRealRegion);
 
-  Movd truncated = rebuilt;
-  truncated.ovrs.pop_back();
+  std::vector<Ovr> ovrs = ToOvrs(rebuilt);
+  ovrs.pop_back();
+  const Movd truncated = FromOvrs(ovrs);
   const AuditReport count = AuditPatchedMovd(truncated, rebuilt);
   EXPECT_GT(count.CountKind(AuditKind::kPatchedOvrCount), 0u);
 
-  Movd skewed = rebuilt;
-  skewed.ovrs[0].mbr.min_x += 1e-9;  // one bit of drift must be caught
+  ovrs = ToOvrs(rebuilt);
+  ovrs[0].mbr.min_x += 1e-9;  // one bit of drift must be caught
+  const Movd skewed = FromOvrs(ovrs);
   const AuditReport bytes = AuditPatchedMovd(skewed, rebuilt);
   EXPECT_GT(bytes.CountKind(AuditKind::kPatchedOvrMismatch), 0u);
 
-  Movd renumbered = rebuilt;
-  renumbered.ovrs[0].pois[0].object += 1;
+  ovrs = ToOvrs(rebuilt);
+  ovrs[0].pois[0].object += 1;
+  const Movd renumbered = FromOvrs(ovrs);
   const AuditReport pois = AuditPatchedMovd(renumbered, rebuilt);
   EXPECT_GT(pois.CountKind(AuditKind::kPatchedOvrMismatch), 0u);
 }

@@ -38,7 +38,7 @@ TEST(WeightedPipelineTest, ContourCoversAreTighterThanMbrs) {
   // Every weighted OVR's region is inside its MBR and no larger.
   double region_area = 0.0, mbr_area = 0.0;
   for (const Movd* m : {&a, &b}) {
-    for (const Ovr& ovr : m->ovrs) {
+    for (const OvrView ovr : m->ovrs) {
       EXPECT_FALSE(ovr.region.Empty());
       EXPECT_LE(ovr.region.Area(), ovr.mbr.Area() + 1e-9);
       region_area += ovr.region.Area();
@@ -64,7 +64,7 @@ TEST(WeightedPipelineTest, CoversRemainConservative) {
     // True winner by direct weighted-distance evaluation.
     const auto group = ArgMinGroup(q, probe);
     bool covered = false;
-    for (const Ovr& ovr : basic.ovrs) {
+    for (const OvrView ovr : basic.ovrs) {
       if (ovr.pois[0].object == group[0] && ovr.region.Contains(probe)) {
         covered = true;
         break;

@@ -39,6 +39,10 @@ BENCH_PRINTF_RE = re.compile(
     r"(?<![\w.])(?:std::)?(?:printf\s*\(|puts\s*\(|fprintf\s*\(\s*stdout\b)"
     r"|std::cout\b")
 
+# ovr-vector: per-OVR heap storage. A MOVD's OVRs live in one OvrTable
+# (flat arrays); a std::vector<Ovr> holds three heap blocks per OVR.
+OVR_VECTOR_RE = re.compile(r"\bstd::vector\s*<\s*(?:movd::)?Ovr\s*>")
+
 # weighted-direct: construction backends reachable only via the
 # BuildWeightedCells dispatch. The dispatch and the backends' own homes are
 # exempt (declaration + definition sites).
@@ -259,6 +263,12 @@ def lint_file(root, rel_path, findings):
                 "float-sort", rel_path, i, raw,
                 "sort call site must be vetted for deterministic ordering "
                 "(allowlist it with a justification once reviewed)"))
+
+        if OVR_VECTOR_RE.search(code):
+            findings.append(Finding(
+                "ovr-vector", rel_path, i, raw,
+                "std::vector<Ovr> holds three heap blocks per OVR; store "
+                "OVRs in an OvrTable (Movd::ovrs) and read them as OvrView"))
 
         if ABORT_RE.search(code) and not rel_path.endswith("src/util/check.h"):
             findings.append(Finding(

@@ -58,6 +58,8 @@ class LintRuleTest(unittest.TestCase):
          "bench/fixture.cc"),
         ("weighted-direct", "weighted_direct_bad.cc", None,
          "src/core/fixture.cc"),
+        ("ovr-vector", "ovr_vector_bad.cc", "ovr_vector_ok.cc",
+         "src/core/fixture.cc"),
     ]
 
     def test_positive_fixtures_trigger(self):
@@ -81,6 +83,9 @@ class LintRuleTest(unittest.TestCase):
         # bench-printf is a bench/ rule; the same code in tools/ is legal.
         self.assertEqual(
             lint_fixture("bench_printf_bad.cc", "tools/fixture.cc"), [])
+        # ovr-vector is a src/ rule; tests may hold Ovr records in vectors.
+        self.assertEqual(
+            lint_fixture("ovr_vector_bad.cc", "tests/fixture.cc"), [])
 
     def test_comments_and_strings_are_stripped(self):
         with tempfile.TemporaryDirectory(prefix="movd_lint_") as root:

@@ -46,6 +46,10 @@ know about (see DESIGN.md section 7):
                     weighted_adaptive.cc. Callers go through
                     BuildWeightedCells so the method knob, its validation,
                     and future backends stay in one place.
+  ovr-vector        No std::vector<Ovr> under src/. A MOVD stores its OVRs
+                    in one OvrTable (a few flat arrays); a vector of Ovr
+                    records costs three heap blocks per OVR, which at paper
+                    scale is hundreds of MB of allocator overhead.
 
 False positives are suppressed through tools/lint_allowlist.txt; each entry
 is `rule|path-suffix|line-substring` plus a mandatory trailing comment
